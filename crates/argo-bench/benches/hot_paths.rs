@@ -1,5 +1,5 @@
-//! Criterion group `hot_paths`: the three inner-loop hot paths the
-//! slot-resolution rework targets.
+//! Criterion group `hot_paths`: the inner-loop hot paths of the
+//! tool-chain.
 //!
 //! * `interp_egpws` — interpreter statement throughput on the EGPWS
 //!   kernel (slot-resolved mirror, prebuilt resolution, null hook);
@@ -7,6 +7,10 @@
 //!   program (deepest loop nest in the use-case suite);
 //! * `list_1000` — HEFT list scheduling of a synthetic 1 000-task
 //!   layered DAG through the precomputed `TaskGraphIndex`;
+//! * `sched_anneal_egpws` / `sched_bnb_polka4` — one simulated-annealing
+//!   run on the EGPWS backend task graph and one exact branch-and-bound
+//!   search on the POLKA graph (4-core bus, `SignalOnly` comm model) —
+//!   the proposal and search-node kernels of the cold path;
 //! * `verify_egpws` — one full post-backend verification pass (race
 //!   matrix, schedule/placement checks, IR lints) on a precompiled
 //!   EGPWS result — the cost every gated pipeline run pays;
@@ -22,9 +26,11 @@
 use argo_adl::Platform;
 use argo_ir::interp::{Interp, NullHook};
 use argo_ir::resolve::Resolution;
+use argo_sched::anneal::SimulatedAnnealing;
+use argo_sched::bnb::BranchAndBound;
 use argo_sched::list::ListScheduler;
 use argo_sched::random::{random_task_graph, RandomGraphParams};
-use argo_sched::SchedCtx;
+use argo_sched::{CommModel, SchedCtx, Scheduler};
 use argo_wcet::value::{loop_bounds_resolved, ValueCtx};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -88,6 +94,40 @@ fn bench_list(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_sched_kernels(c: &mut Criterion) {
+    let mut g = c.benchmark_group("hot_paths");
+    g.sample_size(10);
+    let (bus4, egpws) = argo_bench::backend_sched_input(&argo_apps::egpws::use_case(42), 4);
+    let ctx = SchedCtx {
+        platform: &bus4,
+        comm: CommModel::SignalOnly,
+    };
+    g.bench_function("sched_anneal_egpws", |b| {
+        b.iter(|| {
+            black_box(
+                SimulatedAnnealing::new()
+                    .schedule(black_box(&egpws), &ctx)
+                    .makespan(),
+            )
+        })
+    });
+    let (bus4, polka) = argo_bench::backend_sched_input(&argo_apps::polka::use_case(42), 4);
+    let ctx = SchedCtx {
+        platform: &bus4,
+        comm: CommModel::SignalOnly,
+    };
+    g.bench_function("sched_bnb_polka4", |b| {
+        b.iter(|| {
+            black_box(
+                BranchAndBound::new()
+                    .schedule(black_box(&polka), &ctx)
+                    .makespan(),
+            )
+        })
+    });
+    g.finish();
+}
+
 fn bench_verify(c: &mut Criterion) {
     let mut g = c.benchmark_group("hot_paths");
     g.sample_size(20);
@@ -138,6 +178,7 @@ criterion_group!(
     bench_interp,
     bench_value,
     bench_list,
+    bench_sched_kernels,
     bench_verify,
     bench_store
 );

@@ -1,7 +1,8 @@
 //! Machine-readable hot-path benchmark harness → `BENCH_hotpaths.json`.
 //!
 //! Times the inner-loop hot paths of the tool-chain (interpreter
-//! statement execution, value-analysis fixpoint, list scheduling, one
+//! statement execution, value-analysis fixpoint, list scheduling,
+//! simulated annealing and branch-and-bound on a backend task graph, one
 //! full post-backend verification pass, one persistent-store round
 //! trip of a `BackendResult`, one hot `argo-serve` request/response
 //! roundtrip over a local socket) plus the end-to-end e1/e2
@@ -22,9 +23,11 @@
 //! the micro benches (5 for the end-to-end drivers).
 
 use argo_ir::interp::{CountingHook, Interp, NullHook};
+use argo_sched::anneal::SimulatedAnnealing;
+use argo_sched::bnb::BranchAndBound;
 use argo_sched::list::ListScheduler;
 use argo_sched::random::{random_task_graph, RandomGraphParams};
-use argo_sched::{SchedCtx, Scheduler};
+use argo_sched::{CommModel, SchedCtx, Scheduler};
 use argo_wcet::value::{loop_bounds, ValueCtx};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -116,6 +119,47 @@ fn bench_list_1000(samples: usize) -> BenchRow {
         median_ns: median,
         items: g.len() as u64,
         unit: "tasks",
+    }
+}
+
+fn bench_anneal_egpws(samples: usize) -> BenchRow {
+    // Steady state: the EGPWS task graph is compiled once outside the
+    // timer; the measured quantity is one full annealing run (list
+    // seed plus every proposal) on the backend's comm model.
+    let (platform, g) = argo_bench::backend_sched_input(&argo_apps::egpws::use_case(42), 4);
+    let ctx = SchedCtx {
+        platform: &platform,
+        comm: CommModel::SignalOnly,
+    };
+    let anneal = SimulatedAnnealing::new();
+    let median = time_n(samples, || {
+        std::hint::black_box(anneal.schedule(&g, &ctx).makespan());
+    });
+    BenchRow {
+        name: "sched_anneal_egpws",
+        median_ns: median,
+        items: anneal.iterations as u64,
+        unit: "proposals",
+    }
+}
+
+fn bench_bnb_polka4(samples: usize) -> BenchRow {
+    // Steady state as above: one exact search over the POLKA task
+    // graph on four cores; the work count is the expanded nodes.
+    let (platform, g) = argo_bench::backend_sched_input(&argo_apps::polka::use_case(42), 4);
+    let ctx = SchedCtx {
+        platform: &platform,
+        comm: CommModel::SignalOnly,
+    };
+    let (_, expanded) = BranchAndBound::new().schedule_counted(&g, &ctx);
+    let median = time_n(samples, || {
+        std::hint::black_box(BranchAndBound::new().schedule(&g, &ctx).makespan());
+    });
+    BenchRow {
+        name: "sched_bnb_polka4",
+        median_ns: median,
+        items: expanded,
+        unit: "nodes",
     }
 }
 
@@ -271,6 +315,8 @@ fn main() {
         bench_interp_egpws(samples),
         bench_value_weaa(samples),
         bench_list_1000(samples),
+        bench_anneal_egpws(samples),
+        bench_bnb_polka4(samples),
         bench_verify(samples),
         bench_store_roundtrip(samples),
         bench_serve_roundtrip(samples),

@@ -15,7 +15,7 @@ use argo_sched::anneal::SimulatedAnnealing;
 use argo_sched::bnb::BranchAndBound;
 use argo_sched::list::ListScheduler;
 use argo_sched::random::{random_task_graph, RandomGraphParams};
-use argo_sched::{SchedCtx, Scheduler};
+use argo_sched::{SchedCtx, Scheduler, TaskGraph};
 use argo_sim::{simulate, SimConfig, SimMode};
 use argo_wcet::system::MhpMode;
 use std::fmt::Write as _;
@@ -581,6 +581,19 @@ pub fn compile_with_scheduler(kind: SchedulerKind) -> f64 {
         .run()
         .expect("compile");
     r.wcet_speedup()
+}
+
+/// The scheduler input the backend hands to its scheduler for use case
+/// `uc` on a `cores`-core Xentium bus: the final task graph of a default
+/// compile, on the backend's `SignalOnly` comm model. Feeds the
+/// `sched_anneal_egpws` and `sched_bnb_polka4` hot-path rows.
+pub fn backend_sched_input(uc: &argo_apps::UseCase, cores: usize) -> (Platform, TaskGraph) {
+    let platform = Platform::xentium_manycore(cores);
+    let r = Toolflow::borrowed(&uc.program, uc.entry)
+        .platform(&platform)
+        .run()
+        .expect("use case compiles");
+    (platform, r.parallel.graph)
 }
 
 #[cfg(test)]

@@ -6,12 +6,31 @@
 //! for reproducibility of the benches and for the tool-chain's iterative
 //! optimisation loop (§ II-E), which re-runs the scheduler with inflated
 //! costs and must not jitter.
+//!
+//! The proposal loop allocates nothing. Each proposal mutates the
+//! current assignment in place and is undone when the Metropolis test
+//! rejects it, instead of cloning a candidate assignment. Every
+//! evaluation reuses one scratch buffer set and one per-core
+//! communication-cost table, both built once per `schedule()` call. The
+//! RNG draws happen in the same order as with a cloned candidate, so
+//! the schedules are the same.
 
 use crate::list::ListScheduler;
-use crate::{evaluate_assignment_indexed, SchedCtx, Schedule, Scheduler, TaskGraph};
+use crate::{
+    eval_into, evaluate_assignment_indexed, CommTable, EvalScratch, SchedCtx, Schedule, Scheduler,
+    TaskGraph,
+};
 use argo_adl::CoreId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// How to take back a rejected proposal.
+enum Undo {
+    /// The cores of tasks `a` and `b` were swapped.
+    Swap(usize, usize),
+    /// Task `t` moved away from the recorded core.
+    Move(usize, CoreId),
+}
 
 /// Simulated-annealing scheduler.
 #[derive(Debug, Clone, Copy)]
@@ -60,14 +79,16 @@ impl Scheduler for SimulatedAnnealing {
             return evaluate_assignment_indexed(g, &idx, ctx, &[]);
         }
         let cores = ctx.cores();
-        let seed_sched = ListScheduler::new().schedule_indexed(g, &idx, ctx);
+        let comm = CommTable::new(ctx);
+        let seed_sched = ListScheduler::new().schedule_with(g, &idx, &comm);
         if cores < 2 {
             return seed_sched;
         }
+        let mut scratch = EvalScratch::default();
         let mut current = seed_sched.assignment.clone();
         // Evaluate the seed assignment with the same (non-insertion)
         // kernel the proposals use, so acceptance is consistent.
-        let mut current_ms = evaluate_assignment_indexed(g, &idx, ctx, &current).makespan();
+        let mut current_ms = eval_into(g, &idx, &comm, &current, &mut scratch);
         let mut best = current.clone();
         let mut best_ms = current_ms;
 
@@ -80,33 +101,40 @@ impl Scheduler for SimulatedAnnealing {
         let mut accepts = 0u64;
         for it in 0..self.iterations {
             let temp = t0 * (1.0 - it as f64 / self.iterations as f64).max(1e-6);
-            let mut cand = current.clone();
-            if n >= 2 && rng.gen_bool(0.3) {
+            // Apply the move to `current` in place; `undo` restores it
+            // if the proposal is rejected.
+            let undo = if n >= 2 && rng.gen_bool(0.3) {
                 // Swap the cores of two tasks.
                 let a = rng.gen_range(0..n);
                 let b = rng.gen_range(0..n);
-                cand.swap(a, b);
+                current.swap(a, b);
+                Undo::Swap(a, b)
             } else {
                 // Move one task to a random other core.
                 let t = rng.gen_range(0..n);
                 let mut c = rng.gen_range(0..cores);
-                if CoreId(c) == cand[t] {
+                if CoreId(c) == current[t] {
                     c = (c + 1) % cores;
                 }
-                cand[t] = CoreId(c);
-            }
-            let ms = evaluate_assignment_indexed(g, &idx, ctx, &cand).makespan();
+                let old = std::mem::replace(&mut current[t], CoreId(c));
+                Undo::Move(t, old)
+            };
+            let ms = eval_into(g, &idx, &comm, &current, &mut scratch);
             let accept = ms <= current_ms || {
                 let delta = (ms - current_ms) as f64;
                 rng.gen_bool((-delta / temp).exp().clamp(0.0, 1.0))
             };
             if accept {
                 accepts += 1;
-                current = cand;
                 current_ms = ms;
                 if ms < best_ms {
                     best_ms = ms;
-                    best = current.clone();
+                    best.copy_from_slice(&current);
+                }
+            } else {
+                match undo {
+                    Undo::Swap(a, b) => current.swap(a, b),
+                    Undo::Move(t, old) => current[t] = old,
                 }
             }
         }
@@ -116,11 +144,10 @@ impl Scheduler for SimulatedAnnealing {
                 .add(self.iterations as u64);
             m.counter("argo_sched_anneal_accepts_total").add(accepts);
         }
-        let annealed = evaluate_assignment_indexed(g, &idx, ctx, &best);
         // The list seed uses gap insertion, which the plain evaluation
         // kernel cannot reproduce; never return worse than the seed.
-        if annealed.makespan() <= seed_sched.makespan() {
-            annealed
+        if eval_into(g, &idx, &comm, &best, &mut scratch) <= seed_sched.makespan() {
+            scratch.into_schedule(&best)
         } else {
             seed_sched
         }

@@ -9,7 +9,8 @@
 
 use crate::list::ListScheduler;
 use crate::{
-    evaluate_assignment_indexed, SchedCtx, Schedule, Scheduler, TaskGraph, TaskGraphIndex,
+    eval_into, evaluate_assignment_indexed, CommTable, EvalScratch, SchedCtx, Schedule, Scheduler,
+    TaskGraph, TaskGraphIndex,
 };
 use argo_adl::CoreId;
 
@@ -43,8 +44,10 @@ impl BranchAndBound {
         if n == 0 {
             return (evaluate_assignment_indexed(g, &idx, ctx, &[]), 0);
         }
+        let comm = CommTable::new(ctx);
         // Incumbent from the list scheduler.
-        let seed = ListScheduler::new().schedule_indexed(g, &idx, ctx);
+        let list = ListScheduler::new();
+        let seed = list.schedule_with(g, &idx, &comm);
         let mut best = seed.makespan();
         let mut best_assignment = seed.assignment.clone();
 
@@ -52,7 +55,7 @@ impl BranchAndBound {
             // Deterministic topological order, prioritising long ranks to
             // tighten pruning early: Kahn with max-rank pops keeps
             // topological validity while visiting critical tasks first.
-            let ranks = ListScheduler::new().upward_ranks_indexed(g, &idx, ctx);
+            let ranks = list.upward_ranks_with(g, &idx, &comm);
             topo_by_rank(&idx, &ranks)
         };
         let cores = ctx.cores();
@@ -68,9 +71,15 @@ impl BranchAndBound {
             core: usize,
         }
         let mut assignment = vec![CoreId(0); n];
-        let mut start = vec![0u64; n];
         let mut finish = vec![0u64; n];
-        let mut core_avail_stack: Vec<Vec<u64>> = vec![vec![0u64; cores]];
+        // Row `d` of `avail` is the per-core availability after the first
+        // `d` tasks of `order` are placed, with its sum and maximum kept
+        // alongside. Depth-first order means a row is only overwritten
+        // once every frame that reads it has been popped, so one flat
+        // array replaces a per-node copy of the availability vector.
+        let mut avail = vec![0u64; (n + 1) * cores];
+        let mut avail_sum = vec![0u64; n + 1];
+        let mut avail_max = vec![0u64; n + 1];
         let mut stack: Vec<Frame> = vec![Frame { depth: 0, core: 0 }];
         let mut expanded = 0u64;
         let mut pruned = 0u64;
@@ -78,7 +87,6 @@ impl BranchAndBound {
         while let Some(frame) = stack.pop() {
             let Frame { depth, core } = frame;
             if core >= cores {
-                core_avail_stack.truncate(depth + 1);
                 continue;
             }
             // Queue the sibling branch.
@@ -92,44 +100,41 @@ impl BranchAndBound {
             }
 
             let t = order[depth];
-            let avail = core_avail_stack[depth].clone();
-            let mut est = avail[core];
+            let row = depth * cores;
+            let mut est = avail[row + core];
             for &(p, bytes) in idx.preds(t) {
-                let comm = if assignment[p] == CoreId(core) {
+                let c = if assignment[p] == CoreId(core) {
                     0
                 } else {
-                    ctx.comm_cost(assignment[p], CoreId(core), bytes)
+                    comm.cost(assignment[p], CoreId(core), bytes)
                 };
-                est = est.max(finish[p] + comm);
+                est = est.max(finish[p] + c);
             }
             let fin = est + g.cost[t];
             // Lower bound: the partial makespan, plus remaining work
             // spread perfectly over all cores.
-            let partial_ms = finish[..0].iter().copied().max().unwrap_or(0);
-            let _ = partial_ms;
-            let cur_ms = fin.max(avail.iter().copied().max().unwrap_or(0));
+            let cur_ms = fin.max(avail_max[depth]);
             let remaining = tail_work[depth + 1];
-            let lb = cur_ms.max(avail.iter().sum::<u64>().saturating_add(remaining) / cores as u64);
+            let lb = cur_ms.max(avail_sum[depth].saturating_add(remaining) / cores as u64);
             if lb >= best {
                 pruned += 1;
                 continue; // prune
             }
             assignment[t] = CoreId(core);
-            start[t] = est;
             finish[t] = fin;
-            let mut new_avail = avail;
-            new_avail[core] = fin;
 
             if depth + 1 == n {
                 let ms = finish.iter().copied().max().unwrap_or(0);
                 if ms < best {
                     best = ms;
-                    best_assignment = assignment.clone();
+                    best_assignment.copy_from_slice(&assignment);
                 }
                 continue;
             }
-            core_avail_stack.truncate(depth + 1);
-            core_avail_stack.push(new_avail);
+            avail.copy_within(row..row + cores, row + cores);
+            avail[row + cores + core] = fin;
+            avail_sum[depth + 1] = avail_sum[depth] - avail[row + core] + fin;
+            avail_max[depth + 1] = cur_ms;
             stack.push(Frame {
                 depth: depth + 1,
                 core: 0,
@@ -143,12 +148,12 @@ impl BranchAndBound {
             m.counter("argo_sched_bnb_expanded_total").add(expanded);
             m.counter("argo_sched_bnb_pruned_total").add(pruned);
         }
-        let result = evaluate_assignment_indexed(g, &idx, ctx, &best_assignment);
         // The list seed uses gap insertion, which plain re-evaluation of
         // the same assignment cannot always reproduce; never return a
         // schedule worse than the seed.
-        if result.makespan() <= seed.makespan() {
-            (result, expanded)
+        let mut scratch = EvalScratch::default();
+        if eval_into(g, &idx, &comm, &best_assignment, &mut scratch) <= seed.makespan() {
+            (scratch.into_schedule(&best_assignment), expanded)
         } else {
             (seed, expanded)
         }

@@ -29,9 +29,10 @@ pub mod bnb;
 pub mod list;
 pub mod random;
 
-use argo_adl::{CoreId, Platform};
+use argo_adl::{CoreId, Interconnect, Platform};
 use argo_htg::{Htg, TaskId};
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt;
 
 /// A flattened task DAG: the scheduling view of one HTG hierarchy level.
@@ -440,48 +441,175 @@ pub fn evaluate_assignment(g: &TaskGraph, ctx: &SchedCtx<'_>, assignment: &[Core
     evaluate_assignment_indexed(g, &g.index(), ctx, assignment)
 }
 
-/// [`evaluate_assignment`] over a prebuilt [`TaskGraphIndex`] — the
-/// shared, allocation-light evaluation kernel of the annealer and the
-/// exact solver; deterministic (ready ties broken by task index).
+/// [`evaluate_assignment`] over a prebuilt [`TaskGraphIndex`];
+/// deterministic (ready ties broken by the lowest task index).
+///
+/// A thin wrapper over the crate's evaluation kernel, which the annealer
+/// and the exact solver call directly: they build the per-core
+/// communication-cost table once per `schedule()` call and reuse one
+/// set of start/finish/availability/indegree buffers and one ready heap
+/// across every proposal, so evaluating an assignment allocates
+/// nothing. The ready set is a min-heap of task indices; popping its
+/// minimum visits tasks in exactly the order of the former
+/// sort-then-take-first ready list, so schedules are unchanged.
 pub fn evaluate_assignment_indexed(
     g: &TaskGraph,
     idx: &TaskGraphIndex,
     ctx: &SchedCtx<'_>,
     assignment: &[CoreId],
 ) -> Schedule {
-    let mut start = vec![0u64; g.len()];
-    let mut finish = vec![0u64; g.len()];
-    let mut core_avail = vec![0u64; ctx.cores()];
-    let mut indeg: Vec<u32> = (0..g.len()).map(|t| idx.indegree(t) as u32).collect();
-    let mut ready: Vec<usize> = (0..g.len()).filter(|&i| indeg[i] == 0).collect();
-    while !ready.is_empty() {
-        ready.sort_unstable();
-        let t = ready.remove(0);
+    let mut scratch = EvalScratch::default();
+    eval_into(g, idx, &CommTable::new(ctx), assignment, &mut scratch);
+    scratch.into_schedule(assignment)
+}
+
+/// How [`CommTable::cost`] prices one cross-core edge.
+#[derive(Debug, Clone, Copy)]
+enum CommPath {
+    /// [`CommModel::Free`].
+    Free,
+    /// [`CommModel::SignalOnly`]: one shared access per endpoint.
+    Signal,
+    /// [`CommModel::PlatformWorstCase`] on a bus: one shared access per
+    /// endpoint for every 8-byte word.
+    BusWords,
+    /// [`CommModel::PlatformWorstCase`] on a NoC: the cost depends on the
+    /// route, so it is left to [`SchedCtx::comm_cost`].
+    Ctx,
+}
+
+/// Per-core communication-cost table, built once per `schedule()` call.
+///
+/// Bus and signal costs are sums of per-core worst-case shared accesses
+/// with every core contending. [`SchedCtx::comm_cost`] recomputes both
+/// endpoints' access bound (a WRR worst-wait selection is O(k²)) on
+/// every cross-core edge of every proposal or search node; the table
+/// computes each core's bound once. [`CommTable::cost`] equals
+/// [`SchedCtx::comm_cost`] for every input.
+#[derive(Debug)]
+pub(crate) struct CommTable<'p> {
+    ctx: SchedCtx<'p>,
+    path: CommPath,
+    /// `worst_case_shared_access(c, cores)` per core `c` (empty for the
+    /// `Free` and `Ctx` paths).
+    shared_access: Vec<u64>,
+}
+
+impl<'p> CommTable<'p> {
+    pub(crate) fn new(ctx: &SchedCtx<'p>) -> CommTable<'p> {
+        let path = match ctx.comm {
+            CommModel::Free => CommPath::Free,
+            CommModel::SignalOnly => CommPath::Signal,
+            CommModel::PlatformWorstCase => match ctx.platform.interconnect {
+                Interconnect::Bus { .. } => CommPath::BusWords,
+                Interconnect::Noc { .. } => CommPath::Ctx,
+            },
+        };
+        let k = ctx.cores();
+        let shared_access = match path {
+            CommPath::Signal | CommPath::BusWords => (0..k)
+                .map(|c| ctx.platform.worst_case_shared_access(CoreId(c), k))
+                .collect(),
+            CommPath::Free | CommPath::Ctx => Vec::new(),
+        };
+        CommTable {
+            ctx: ctx.clone(),
+            path,
+            shared_access,
+        }
+    }
+
+    /// Cost of moving `bytes` from `from` to `to`; equals
+    /// [`SchedCtx::comm_cost`].
+    #[inline]
+    pub(crate) fn cost(&self, from: CoreId, to: CoreId, bytes: u64) -> u64 {
+        let sa = &self.shared_access;
+        match self.path {
+            CommPath::Free => 0,
+            CommPath::Signal => sa[from.0] + sa[to.0],
+            CommPath::BusWords if from == to => 0,
+            CommPath::BusWords => bytes.div_ceil(8).max(1) * (sa[from.0] + sa[to.0]),
+            CommPath::Ctx => self.ctx.comm_cost(from, to, bytes),
+        }
+    }
+
+    /// Number of cores of the platform.
+    #[inline]
+    pub(crate) fn cores(&self) -> usize {
+        self.ctx.cores()
+    }
+}
+
+/// Reusable buffers of [`eval_into`]: one allocation per `schedule()`
+/// call instead of one per evaluated assignment.
+#[derive(Debug, Default)]
+pub(crate) struct EvalScratch {
+    start: Vec<u64>,
+    finish: Vec<u64>,
+    core_avail: Vec<u64>,
+    indeg: Vec<u32>,
+    ready: BinaryHeap<Reverse<usize>>,
+}
+
+impl EvalScratch {
+    /// The schedule of the last [`eval_into`] call, which evaluated
+    /// `assignment`.
+    pub(crate) fn into_schedule(self, assignment: &[CoreId]) -> Schedule {
+        Schedule {
+            assignment: assignment.to_vec(),
+            start: self.start,
+            finish: self.finish,
+        }
+    }
+}
+
+/// The evaluation kernel: dispatches the tasks of `g` under the fixed
+/// `assignment` in ready order (lowest ready index first), as early as
+/// possible, leaving start/finish times in `s`. Returns the makespan.
+pub(crate) fn eval_into(
+    g: &TaskGraph,
+    idx: &TaskGraphIndex,
+    comm: &CommTable<'_>,
+    assignment: &[CoreId],
+    s: &mut EvalScratch,
+) -> u64 {
+    let n = g.len();
+    s.start.clear();
+    s.start.resize(n, 0);
+    s.finish.clear();
+    s.finish.resize(n, 0);
+    s.core_avail.clear();
+    s.core_avail.resize(comm.cores(), 0);
+    s.indeg.clear();
+    s.indeg.extend_from_slice(&idx.indeg);
+    s.ready.clear();
+    s.ready
+        .extend((0..n).filter(|&t| idx.indeg[t] == 0).map(Reverse));
+    let mut makespan = 0;
+    while let Some(Reverse(t)) = s.ready.pop() {
         let core = assignment[t];
-        let mut est = core_avail[core.0];
+        let mut est = s.core_avail[core.0];
         for &(p, bytes) in idx.preds(t) {
-            let comm = if assignment[p] == core {
+            let c = if assignment[p] == core {
                 0
             } else {
-                ctx.comm_cost(assignment[p], core, bytes)
+                comm.cost(assignment[p], core, bytes)
             };
-            est = est.max(finish[p] + comm);
+            est = est.max(s.finish[p] + c);
         }
-        start[t] = est;
-        finish[t] = est + g.cost[t];
-        core_avail[core.0] = finish[t];
-        for &(s, _) in idx.succs(t) {
-            indeg[s] -= 1;
-            if indeg[s] == 0 {
-                ready.push(s);
+        let fin = est + g.cost[t];
+        s.start[t] = est;
+        s.finish[t] = fin;
+        s.core_avail[core.0] = fin;
+        makespan = makespan.max(fin);
+        for &(succ, _) in idx.succs(t) {
+            s.indeg[succ] -= 1;
+            if s.indeg[succ] == 0 {
+                s.ready.push(Reverse(succ));
             }
         }
     }
-    Schedule {
-        assignment: assignment.to_vec(),
-        start,
-        finish,
-    }
+    makespan
 }
 
 /// The common scheduler interface.
@@ -549,6 +677,8 @@ pub(crate) mod test_graphs {
 mod tests {
     use super::test_graphs::diamond;
     use super::*;
+    use argo_adl::Arbitration;
+    use proptest::prelude::*;
 
     #[test]
     fn topo_order_is_valid() {
@@ -625,6 +755,63 @@ mod tests {
         let u = s.utilisation(&g, 2);
         assert!((u[0] - 1.0).abs() < 1e-9);
         assert_eq!(u[1], 0.0);
+    }
+
+    /// Bus platforms under every arbitration policy (WRR with uniform and
+    /// skewed weights, TDMA, fixed priority) plus a NoC mesh.
+    fn comm_platforms() -> Vec<Platform> {
+        vec![
+            Platform::xentium_manycore(5),
+            Platform::generic_bus(
+                6,
+                Arbitration::Wrr {
+                    weights: vec![3, 1, 4, 1, 5, 2],
+                    slot_cycles: 4,
+                },
+            ),
+            Platform::generic_bus(
+                4,
+                Arbitration::Tdma {
+                    slot_cycles: 16,
+                    total_slots: 4,
+                },
+            ),
+            Platform::generic_bus(
+                3,
+                Arbitration::FixedPriority {
+                    priorities: vec![2, 0, 1],
+                },
+            ),
+            Platform::kit_tile_noc(2, 3),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn comm_table_equals_ctx_comm_cost(bytes in 0u64..4096) {
+            for p in comm_platforms() {
+                for comm in [
+                    CommModel::Free,
+                    CommModel::PlatformWorstCase,
+                    CommModel::SignalOnly,
+                ] {
+                    let ctx = SchedCtx { platform: &p, comm };
+                    let table = CommTable::new(&ctx);
+                    for from in (0..p.core_count()).map(CoreId) {
+                        for to in (0..p.core_count()).map(CoreId) {
+                            prop_assert_eq!(
+                                table.cost(from, to, bytes),
+                                ctx.comm_cost(from, to, bytes),
+                                "{} {:?} {} -> {} ({} bytes)",
+                                p.name, comm, from, to, bytes
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! homogeneous ARGO platforms the computation cost term of classical HEFT
 //! degenerates to the task WCET.
 
-use crate::{SchedCtx, Schedule, Scheduler, TaskGraph, TaskGraphIndex};
+use crate::{CommTable, SchedCtx, Schedule, Scheduler, TaskGraph, TaskGraphIndex};
 use argo_adl::CoreId;
 
 /// HEFT-style list scheduler with gap insertion.
@@ -40,8 +40,19 @@ impl ListScheduler {
         idx: &TaskGraphIndex,
         ctx: &SchedCtx<'_>,
     ) -> Vec<f64> {
+        self.upward_ranks_with(g, idx, &CommTable::new(ctx))
+    }
+
+    /// [`ListScheduler::upward_ranks_indexed`] over a prebuilt
+    /// communication-cost table.
+    pub(crate) fn upward_ranks_with(
+        &self,
+        g: &TaskGraph,
+        idx: &TaskGraphIndex,
+        comm: &CommTable<'_>,
+    ) -> Vec<f64> {
         let mut rank = vec![0f64; g.len()];
-        let cores = ctx.cores();
+        let cores = comm.cores();
         // Mean cross-core communication cost per byte-volume edge.
         let mean_comm = |bytes: u64| -> f64 {
             if cores < 2 {
@@ -49,7 +60,7 @@ impl ListScheduler {
             }
             // Representative pair (0, 1); homogeneous interconnects make
             // this exact for buses, a good proxy for meshes.
-            ctx.comm_cost(CoreId(0), CoreId(1), bytes) as f64 * (cores as f64 - 1.0) / cores as f64
+            comm.cost(CoreId(0), CoreId(1), bytes) as f64 * (cores as f64 - 1.0) / cores as f64
         };
         for &t in idx.topo_order().iter().rev() {
             let down = idx
@@ -69,9 +80,21 @@ impl ListScheduler {
         idx: &TaskGraphIndex,
         ctx: &SchedCtx<'_>,
     ) -> Schedule {
+        self.schedule_with(g, idx, &CommTable::new(ctx))
+    }
+
+    /// [`ListScheduler::schedule_indexed`] over a prebuilt
+    /// communication-cost table (shared with the annealer and the exact
+    /// solver, which seed from this schedule).
+    pub(crate) fn schedule_with(
+        &self,
+        g: &TaskGraph,
+        idx: &TaskGraphIndex,
+        comm: &CommTable<'_>,
+    ) -> Schedule {
         let n = g.len();
-        let cores = ctx.cores();
-        let rank = self.upward_ranks_indexed(g, idx, ctx);
+        let cores = comm.cores();
+        let rank = self.upward_ranks_with(g, idx, comm);
 
         // Priority order: descending rank, ties by index (deterministic).
         let mut order: Vec<usize> = (0..n).collect();
@@ -92,12 +115,12 @@ impl ListScheduler {
             for (c, busy_c) in busy.iter().enumerate() {
                 let mut ready = 0u64;
                 for &(p, bytes) in idx.preds(t) {
-                    let comm = if assignment[p] == CoreId(c) {
+                    let cost = if assignment[p] == CoreId(c) {
                         0
                     } else {
-                        ctx.comm_cost(assignment[p], CoreId(c), bytes)
+                        comm.cost(assignment[p], CoreId(c), bytes)
                     };
-                    ready = ready.max(finish[p] + comm);
+                    ready = ready.max(finish[p] + cost);
                 }
                 let st = self.earliest_slot(busy_c, ready, g.cost[t]);
                 let fin = st + g.cost[t];
