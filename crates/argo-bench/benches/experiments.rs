@@ -109,17 +109,19 @@ fn bench_wcet(c: &mut Criterion) {
     let platform = Platform::xentium_manycore(1);
     let mem = argo_adl::MemoryMap::new();
     let bounds = argo_wcet::value::loop_bounds(&uc.program, uc.entry, &Default::default()).unwrap();
+    let calls = argo_ir::resolve::Resolution::of(&uc.program);
+    let entry = [calls.function_index(uc.entry).unwrap() as u32];
     g.bench_function("schema_egpws", |b| {
         b.iter(|| {
             let ctx =
                 argo_wcet::cost::CostCtx::new(&uc.program, &platform, argo_adl::CoreId(0), 1, &mem);
-            black_box(argo_wcet::schema::function_wcets(&ctx, &bounds).unwrap())
+            black_box(argo_wcet::schema::function_wcets(&ctx, &bounds, &calls, &entry).unwrap())
         })
     });
     g.bench_function("ipet_egpws", |b| {
         let ctx =
             argo_wcet::cost::CostCtx::new(&uc.program, &platform, argo_adl::CoreId(0), 1, &mem);
-        let fw = argo_wcet::schema::function_wcets(&ctx, &bounds).unwrap();
+        let fw = argo_wcet::schema::function_wcets(&ctx, &bounds, &calls, &entry).unwrap();
         b.iter(|| {
             black_box(argo_wcet::ipet::function_wcet_ipet(&ctx, &bounds, &fw, uc.entry).unwrap())
         })

@@ -11,6 +11,10 @@
 //!   run on the EGPWS backend task graph and one exact branch-and-bound
 //!   search on the POLKA graph (4-core bus, `SignalOnly` comm model) —
 //!   the proposal and search-node kernels of the cold path;
+//! * `backend_egpws` — one seeded backend run on the EGPWS frontend
+//!   artifact (4-core bus): the feedback rounds' task re-costing,
+//!   scheduling and placement, then the parallel model and system-level
+//!   WCET — the per-point work a cached frontend leaves;
 //! * `verify_egpws` — one full post-backend verification pass (race
 //!   matrix, schedule/placement checks, IR lints) on a precompiled
 //!   EGPWS result — the cost every gated pipeline run pays;
@@ -128,6 +132,23 @@ fn bench_sched_kernels(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_backend(c: &mut Criterion) {
+    let mut g = c.benchmark_group("hot_paths");
+    g.sample_size(20);
+    let uc = argo_apps::egpws::use_case(42);
+    let (platform, artifact, costs, _) = argo_bench::backend_input(&uc, 4);
+    let flow = argo_core::Toolflow::borrowed(&uc.program, uc.entry).platform(&platform);
+    g.bench_function("backend_egpws", |b| {
+        b.iter(|| {
+            let r = flow
+                .run_backend(black_box(&artifact), Some(&costs))
+                .expect("egpws backend");
+            black_box(r.system.bound)
+        })
+    });
+    g.finish();
+}
+
 fn bench_verify(c: &mut Criterion) {
     let mut g = c.benchmark_group("hot_paths");
     g.sample_size(20);
@@ -179,6 +200,7 @@ criterion_group!(
     bench_value,
     bench_list,
     bench_sched_kernels,
+    bench_backend,
     bench_verify,
     bench_store
 );

@@ -9,7 +9,10 @@
 //! quantify each claim of §§ I–III instead (see DESIGN.md § 5).
 
 use argo_adl::{Arbitration, CacheConfig, Platform};
-use argo_core::{CollectingObserver, SchedulerKind, Stage, ToolchainConfig, Toolflow};
+use argo_core::{
+    CollectingObserver, CostTable, FrontendArtifact, SchedulerKind, Stage, ToolchainConfig,
+    Toolflow,
+};
 use argo_htg::Granularity;
 use argo_sched::anneal::SimulatedAnnealing;
 use argo_sched::bnb::BranchAndBound;
@@ -581,6 +584,27 @@ pub fn compile_with_scheduler(kind: SchedulerKind) -> f64 {
         .run()
         .expect("compile");
     r.wcet_speedup()
+}
+
+/// The inputs of one seeded backend run of `uc` on a `cores`-core
+/// Xentium platform — the frontend artifact and round-0 costs — and the
+/// number of task costings that run performs: every top-level task in
+/// every feedback round after the seeded round 0. Feeds the
+/// `backend_egpws` hot-path row.
+pub fn backend_input(
+    uc: &argo_apps::UseCase,
+    cores: usize,
+) -> (Platform, FrontendArtifact, CostTable, u64) {
+    let platform = Platform::xentium_manycore(cores);
+    let flow = Toolflow::borrowed(&uc.program, uc.entry).platform(&platform);
+    let artifact = flow.run_frontend().expect("use case frontend");
+    let costs = flow.run_seed_costs(&artifact).expect("use case seed costs");
+    let r = flow
+        .run_backend(&artifact, Some(&costs))
+        .expect("use case backend");
+    let tasks = artifact.htg.top_level.len() as u64;
+    let tasks_costed = tasks * u64::from(r.feedback_iterations.saturating_sub(1));
+    (platform, artifact, costs, tasks_costed)
 }
 
 /// The scheduler input the backend hands to its scheduler for use case

@@ -24,6 +24,7 @@ use argo_parir::ParallelProgram;
 use argo_wcet::system::SystemWcet;
 use argo_wcet::value::LoopBounds;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A typed pipeline artifact with a canonical content fingerprint.
 pub trait Artifact {
@@ -46,10 +47,13 @@ pub trait Artifact {
 /// regardless of platform, scheduler or memory configuration — which is
 /// what makes them cacheable across a design-space sweep (see the
 /// `argo-dse` crate and [`crate::Toolflow::frontend_fingerprint`]).
+///
+/// The program and HTG are shared, not copied, with every
+/// [`BackendResult`] built from the artifact.
 #[derive(Debug, Clone)]
 pub struct FrontendArtifact {
     /// The program after predictability transformations.
-    pub program: Program,
+    pub program: Arc<Program>,
     /// The slot resolution of the transformed program: interned
     /// symbols, per-function frame layouts and the resolved statement
     /// mirror. Computed once per frontend run, reused by the value
@@ -62,7 +66,7 @@ pub struct FrontendArtifact {
     /// Loop bounds from the value analysis.
     pub bounds: LoopBounds,
     /// The extracted, access-annotated HTG.
-    pub htg: Htg,
+    pub htg: Arc<Htg>,
 }
 
 impl Fingerprintable for Htg {
@@ -209,8 +213,8 @@ pub struct BackendResult {
     pub shared_accesses: Vec<u64>,
     /// Loop bounds used by the code-level analysis.
     pub bounds: LoopBounds,
-    /// The HTG (post-transformation).
-    pub htg: Htg,
+    /// The HTG (post-transformation), shared with the frontend artifact.
+    pub htg: Arc<Htg>,
     /// Feedback iterations actually performed.
     pub feedback_iterations: u32,
 }

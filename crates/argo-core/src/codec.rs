@@ -47,6 +47,7 @@ use argo_sched::{Schedule, TaskGraph};
 use argo_wcet::system::SystemWcet;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// A payload failed to decode (truncated, malformed, or semantically
 /// inconsistent — e.g. embedded program text that no longer parses).
@@ -878,7 +879,7 @@ impl Codec for ParallelProgram {
     }
     fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         Ok(ParallelProgram {
-            program: Program::decode(d)?,
+            program: Arc::new(Program::decode(d)?),
             entry: String::decode(d)?,
             graph: TaskGraph::decode(d)?,
             schedule: Schedule::decode(d)?,
@@ -941,10 +942,10 @@ impl Codec for FrontendArtifact {
         let htg = Htg::decode(d)?;
         let resolution = Resolution::of(&program);
         Ok(FrontendArtifact {
-            program,
+            program: Arc::new(program),
             resolution,
             bounds,
-            htg,
+            htg: Arc::new(htg),
         })
     }
 }
@@ -968,7 +969,7 @@ impl Codec for BackendResult {
             iso_costs: Vec::decode(d)?,
             shared_accesses: Vec::decode(d)?,
             bounds: BTreeMap::decode(d)?,
-            htg: Htg::decode(d)?,
+            htg: Arc::new(Htg::decode(d)?),
             feedback_iterations: u32::decode(d)?,
         })
     }
@@ -997,7 +998,7 @@ mod tests {
             .config(ToolchainConfig::default());
         let artifact = flow.run_frontend().unwrap();
         let costs = flow.run_seed_costs(&artifact).unwrap();
-        let result = flow.run_backend(artifact.clone(), Some(&costs)).unwrap();
+        let result = flow.run_backend(&artifact, Some(&costs)).unwrap();
         (artifact, costs, result)
     }
 

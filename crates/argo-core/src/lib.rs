@@ -42,7 +42,7 @@
 //! | `compile(p, "main", &plat, &cfg)` | `Toolflow::new(p, "main").platform(&plat).config(cfg).run()` |
 //! | `frontend(p, "main", cores, &cfg)` | `Toolflow::new(p, "main").platform(&plat).config(cfg).run_frontend()` |
 //! | `seed_costs(&art, "main", &plat)` | `flow.run_seed_costs(&art)` |
-//! | `backend(art, "main", &plat, &cfg, seed)` | `flow.run_backend(art, seed)` |
+//! | `backend(&art, "main", &plat, &cfg, seed)` | `flow.run_backend(&art, seed)` |
 //! | `ToolchainError { stage: "entry", .. }` | `Diagnostic { code: ErrorCode::UnknownEntry, .. }` |
 //! | `format!("{:?}", platform)` cache keys | `platform.fingerprint()` / `flow.frontend_fingerprint()` |
 //!
@@ -212,7 +212,7 @@ pub fn seed_costs(
 ///
 /// Returns a [`Diagnostic`] naming the failing step.
 pub fn backend(
-    artifact: FrontendArtifact,
+    artifact: &FrontendArtifact,
     entry: &str,
     platform: &Platform,
     cfg: &ToolchainConfig,
@@ -474,7 +474,7 @@ mod tests {
             .platform(&platform)
             .config(cfg);
         let art = flow.run_frontend().unwrap();
-        let staged = flow.run_backend(art, None).unwrap();
+        let staged = flow.run_backend(&art, None).unwrap();
         assert_eq!(whole.system, staged.system);
         assert_eq!(whole.sequential_bound, staged.sequential_bound);
         assert_eq!(whole.iso_costs, staged.iso_costs);
@@ -501,8 +501,8 @@ mod tests {
                 .config(cfg);
             let art = flow.run_frontend().unwrap();
             let costs = flow.run_seed_costs(&art).unwrap();
-            let seeded = flow.run_backend(art.clone(), Some(&costs)).unwrap();
-            let plain = flow.run_backend(art, None).unwrap();
+            let seeded = flow.run_backend(&art, Some(&costs)).unwrap();
+            let plain = flow.run_backend(&art, None).unwrap();
             assert_eq!(seeded.system, plain.system);
             assert_eq!(seeded.iso_costs, plain.iso_costs);
             assert_eq!(seeded.sequential_bound, plain.sequential_bound);
@@ -585,7 +585,7 @@ mod tests {
             .observer(&obs);
         let art = flow.run_frontend().unwrap();
         let costs = flow.run_seed_costs(&art).unwrap();
-        let r = flow.run_backend(art, Some(&costs)).unwrap();
+        let r = flow.run_backend(&art, Some(&costs)).unwrap();
         assert!(obs.well_nested());
         assert_eq!(obs.finished_count(Stage::Frontend), 1);
         assert_eq!(obs.finished_count(Stage::SeedCosts), 1);

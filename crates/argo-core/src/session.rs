@@ -31,13 +31,14 @@ use argo_transform::chunk::chunk_all_parallel_loops;
 use argo_transform::fold::ConstantFold;
 use argo_transform::Pass;
 use argo_wcet::cost::{program_symbols, CostCtx};
-use argo_wcet::schema::{function_wcets, stmt_ids_wcet};
+use argo_wcet::schema::{function_wcets, stmt_ids_wcet, StmtIndex};
 use argo_wcet::system::{analyze, task_shared_accesses};
 use argo_wcet::value::loop_bounds_resolved;
+use argo_wcet::WcetError;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Feeds the configuration fields the *frontend* stage observes —
@@ -336,14 +337,15 @@ impl<'a> Toolflow<'a> {
     /// `seed` optionally supplies the round-0 task costs (as produced
     /// by [`Toolflow::run_seed_costs`] for the same artifact and
     /// platform), skipping the first code-level WCET pass; the result
-    /// is identical either way.
+    /// is identical either way. The artifact is borrowed: the result
+    /// shares its program and HTG.
     ///
     /// # Errors
     ///
     /// Returns a [`Diagnostic`] naming the failing step.
     pub fn run_backend(
         &self,
-        artifact: FrontendArtifact,
+        artifact: &FrontendArtifact,
         seed: Option<&CostTable>,
     ) -> Result<BackendResult, Diagnostic> {
         let platform = self.require_platform(Stage::Backend)?;
@@ -371,7 +373,7 @@ impl<'a> Toolflow<'a> {
         let platform = self.require_platform(Stage::Backend)?;
         validate_platform(platform)?;
         let artifact = self.run_frontend()?;
-        self.run_backend(artifact, None)
+        self.run_backend(&artifact, None)
     }
 }
 
@@ -499,10 +501,10 @@ pub(crate) fn run_frontend_impl(
         }
 
         Ok(FrontendArtifact {
-            program,
+            program: Arc::new(program),
             resolution,
             bounds,
-            htg,
+            htg: Arc::new(htg),
         })
     })
 }
@@ -524,18 +526,38 @@ pub(crate) fn run_seed_costs_impl(
     seq: &AtomicU64,
 ) -> Result<CostTable, Diagnostic> {
     observed_stage(obs, seq, Stage::SeedCosts, || {
-        let mem = all_shared_map(&artifact.program, entry);
-        let ctx = CostCtx::new(&artifact.program, platform, argo_adl::CoreId(0), 1, &mem);
-        let fw = function_wcets(&ctx, &artifact.bounds).map_err(seed_err)?;
+        let program = &*artifact.program;
+        let mem = all_shared_map(program, entry);
+        let symbols = program_symbols(program);
+        let ctx = CostCtx::with_symbols(program, platform, argo_adl::CoreId(0), 1, &mem, &symbols);
+        let (index, callees) = entry_costing(artifact, entry).map_err(seed_err)?;
+        let fw = function_wcets(&ctx, &artifact.bounds, &artifact.resolution, callees)
+            .map_err(seed_err)?;
         let mut costs: BTreeMap<argo_htg::TaskId, u64> = BTreeMap::new();
         for &tid in &artifact.htg.top_level {
             let task = artifact.htg.task(tid);
-            let w = stmt_ids_wcet(&ctx, &artifact.bounds, &fw, entry, &task.stmts)
+            let w = stmt_ids_wcet(&ctx, &artifact.bounds, &fw, &index, &task.stmts)
                 .map_err(|e| seed_err(e).with_entity(task.name.clone()))?;
             costs.insert(tid, w.max(1));
         }
         Ok(CostTable::from(costs))
     })
+}
+
+/// What costing the entry's tasks reads, built once per stage call: the
+/// entry's statement index, and the functions the entry calls — the
+/// roots of the only function WCETs a task of the entry can need.
+fn entry_costing<'p>(
+    artifact: &'p FrontendArtifact,
+    entry: &str,
+) -> Result<(StmtIndex<'p>, &'p [u32]), WcetError> {
+    let missing = || WcetError::new(format!("no function `{entry}`"));
+    let f = artifact.program.function(entry).ok_or_else(missing)?;
+    let fi = artifact
+        .resolution
+        .function_index(entry)
+        .ok_or_else(missing)?;
+    Ok((StmtIndex::new(f), &artifact.resolution.function(fi).callees))
 }
 
 fn backend_err(code: ErrorCode, e: impl std::fmt::Display) -> Diagnostic {
@@ -546,7 +568,7 @@ fn backend_err(code: ErrorCode, e: impl std::fmt::Display) -> Diagnostic {
 /// model, system-level WCET, sequential baseline.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_backend_impl(
-    artifact: FrontendArtifact,
+    artifact: &FrontendArtifact,
     entry: &str,
     platform: &Platform,
     cfg: &ToolchainConfig,
@@ -559,9 +581,9 @@ pub(crate) fn run_backend_impl(
     observed_stage(obs, seq, Stage::Backend, move || {
         let FrontendArtifact {
             program,
+            resolution,
             bounds,
             htg,
-            ..
         } = artifact;
         if htg.top_level.is_empty() {
             return Err(Diagnostic::new(
@@ -574,22 +596,26 @@ pub(crate) fn run_backend_impl(
 
         // --- Iterative schedule ↔ placement ↔ WCET loop (§ II-E).
         let platform_fp = platform.fingerprint();
-        let mut mem = all_shared_map(&program, entry);
+        let mut mem = all_shared_map(program, entry);
         let mut assignment: Option<Vec<argo_adl::CoreId>> = None;
         let mut schedule: Option<Schedule> = None;
-        // Hoisted out of the feedback loop: the symbol tables and the
-        // task-graph skeleton (names, ids, edges) depend only on the
-        // program/HTG, not on the round — each round only re-costs.
-        let symbols = program_symbols(&program);
-        let mut graph = TaskGraph::skeleton_from_htg(&htg);
+        // Hoisted out of the feedback loop: the symbol tables, the
+        // entry's statement index and the task-graph skeleton (names,
+        // ids, edges) depend only on the program/HTG, not on the round —
+        // each round only re-costs.
+        let symbols = program_symbols(program);
+        let (index, callees) = entry_costing(artifact, entry)
+            .map_err(|e| backend_err(ErrorCode::CodeWcetFailed, e))?;
+        let mut graph = TaskGraph::skeleton_from_htg(htg);
         let mut iso_costs: Vec<u64> = Vec::new();
         let mut iterations = 0;
         for round in 0..cfg.feedback_rounds.max(1) {
             let _round_span = argo_trace::span("backend.round");
             iterations = round + 1;
             // Code-level WCET per task, on its (current) core, isolated.
-            // The function-WCET table only depends on the core, so it is
+            // The callee-WCET table only depends on the core, so it is
             // computed once per distinct core rather than once per task.
+            let cost_span = argo_trace::span("backend.cost");
             let costs: BTreeMap<argo_htg::TaskId, u64> = match (round, seed) {
                 (0, Some(seeded)) => (**seeded).clone(),
                 _ => {
@@ -600,18 +626,17 @@ pub(crate) fn run_backend_impl(
                             Some(a) => a[idx],
                             None => argo_adl::CoreId(0),
                         };
-                        let ctx =
-                            CostCtx::with_symbols(&program, platform, core, 1, &mem, &symbols);
+                        let ctx = CostCtx::with_symbols(program, platform, core, 1, &mem, &symbols);
                         if let std::collections::btree_map::Entry::Vacant(e) =
                             fw_by_core.entry(core)
                         {
-                            let fw = function_wcets(&ctx, &bounds)
+                            let fw = function_wcets(&ctx, bounds, resolution, callees)
                                 .map_err(|e| backend_err(ErrorCode::CodeWcetFailed, e))?;
                             e.insert(fw);
                         }
                         let fw = &fw_by_core[&core];
                         let task = htg.task(tid);
-                        let w = stmt_ids_wcet(&ctx, &bounds, fw, entry, &task.stmts)
+                        let w = stmt_ids_wcet(&ctx, bounds, fw, &index, &task.stmts)
                             .map_err(|e| backend_err(ErrorCode::CodeWcetFailed, e))?;
                         costs.insert(tid, w.max(1));
                     }
@@ -620,12 +645,14 @@ pub(crate) fn run_backend_impl(
             };
             graph.set_costs(&costs);
             iso_costs = graph.cost.clone();
+            drop(cost_span);
 
             // Mapping/scheduling stage, routed through the schedule
             // cache when one is bound (third `argo-dse` cache tier):
             // the key covers everything a scheduler observes — the
             // graph (costs + edges), the platform and the scheduler
             // kind — so a hit is byte-identical to a rebuild.
+            let schedule_span = argo_trace::span("backend.schedule");
             let ctx = SchedCtx {
                 platform,
                 comm: CommModel::SignalOnly,
@@ -648,20 +675,18 @@ pub(crate) fn run_backend_impl(
                 }
                 None => build(),
             };
+            drop(schedule_span);
             let stable = assignment.as_ref() == Some(&sched.assignment);
             assignment = Some(sched.assignment.clone());
             let makespan = sched.makespan();
-            schedule = Some(sched);
+            let sched = schedule.insert(sched);
 
-            // Memory placement for the new mapping (WCET fed back).
-            mem = argo_parir::mem_assign::assign(
-                &program,
-                &htg,
-                &graph,
-                schedule.as_ref().expect("just set"),
-                platform,
-            )
-            .map_err(|e| backend_err(ErrorCode::MemAssignFailed, e))?;
+            // Memory placement for the new mapping (WCET fed back); the
+            // parallel model below reuses the last round's.
+            let placement_span = argo_trace::span("backend.placement");
+            mem = argo_parir::mem_assign::assign(program, htg, &graph, sched, platform)
+                .map_err(|e| backend_err(ErrorCode::MemAssignFailed, e))?;
+            drop(placement_span);
 
             if let Some(obs) = obs {
                 let spm_resident = mem
@@ -700,12 +725,20 @@ pub(crate) fn run_backend_impl(
             }
         }
 
-        // --- Parallel program model (§ II-C).
-        let parallel = ParallelProgram::build(program, &htg, graph, schedule, platform)
-            .map_err(|e| backend_err(ErrorCode::ParallelModelFailed, e))?;
+        // --- Parallel program model (§ II-C), over the placement the
+        // last round computed for exactly this graph and schedule.
+        let parallel = ParallelProgram::with_memory_map(
+            Arc::clone(program),
+            htg,
+            graph,
+            schedule,
+            platform,
+            mem,
+        )
+        .map_err(|e| backend_err(ErrorCode::ParallelModelFailed, e))?;
 
         // --- System-level WCET (§ II-D).
-        let shared_accesses = task_shared_accesses(&htg, &parallel.graph, &parallel.memory_map);
+        let shared_accesses = task_shared_accesses(htg, &parallel.graph, &parallel.memory_map);
         let system = analyze(&parallel, platform, &iso_costs, &shared_accesses, cfg.mhp);
 
         // --- Sequential baseline: same tasks, one core, no overlap.
@@ -726,8 +759,8 @@ pub(crate) fn run_backend_impl(
             sequential_bound,
             iso_costs,
             shared_accesses,
-            bounds,
-            htg,
+            bounds: bounds.clone(),
+            htg: Arc::clone(htg),
             feedback_iterations: iterations,
         })
     })

@@ -471,7 +471,7 @@ impl Explorer {
             .cache
             .seed_costs(cost_key, || flow.run_seed_costs(&artifact))?;
 
-        let r = flow.run_backend((*artifact).clone(), Some(&costs))?;
+        let r = flow.run_backend(&artifact, Some(&costs))?;
 
         // Independent verification gates every successful point: an
         // error-severity finding turns the row into a structured

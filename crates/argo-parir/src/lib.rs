@@ -28,6 +28,7 @@ use argo_ir::ast::Program;
 use argo_sched::{Schedule, TaskGraph};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a synchronization signal (one per cross-core edge).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -76,8 +77,9 @@ pub struct CorePlan {
 /// A fully constructed explicitly parallel program.
 #[derive(Debug, Clone)]
 pub struct ParallelProgram {
-    /// The (transformed) IR the tasks refer to.
-    pub program: Program,
+    /// The (transformed) IR the tasks refer to, shared with the
+    /// frontend artifact it came from.
+    pub program: Arc<Program>,
     /// Entry function name.
     pub entry: String,
     /// The task graph that was scheduled.
@@ -125,21 +127,36 @@ impl ParallelProgram {
     /// Returns [`ParirError`] if the schedule and graph disagree, or if
     /// memory assignment overflows the platform.
     pub fn build(
-        program: Program,
+        program: impl Into<Arc<Program>>,
         htg: &Htg,
         graph: TaskGraph,
         schedule: Schedule,
         platform: &Platform,
     ) -> Result<ParallelProgram, ParirError> {
-        if schedule.assignment.len() != graph.len() {
-            return Err(ParirError {
-                msg: format!(
-                    "schedule covers {} tasks but graph has {}",
-                    schedule.assignment.len(),
-                    graph.len()
-                ),
-            });
-        }
+        let program = program.into();
+        check_covers(&graph, &schedule)?;
+        let memory_map = mem_assign::assign(&program, htg, &graph, &schedule, platform)
+            .map_err(|e| ParirError { msg: e })?;
+        ParallelProgram::with_memory_map(program, htg, graph, schedule, platform, memory_map)
+    }
+
+    /// [`ParallelProgram::build`] with a memory map the caller already
+    /// computed by [`mem_assign::assign`] for the same program, HTG,
+    /// graph, schedule and platform (the backend's last feedback round
+    /// placed exactly this schedule).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ParirError`] if the schedule and graph disagree.
+    pub fn with_memory_map(
+        program: Arc<Program>,
+        htg: &Htg,
+        graph: TaskGraph,
+        schedule: Schedule,
+        platform: &Platform,
+        memory_map: MemoryMap,
+    ) -> Result<ParallelProgram, ParirError> {
+        check_covers(&graph, &schedule)?;
         let entry = htg.function.clone();
         // Signals for cross-core edges.
         let mut signals: Vec<(usize, usize, SignalId)> = Vec::new(); // (from, to, id)
@@ -176,8 +193,6 @@ impl ParallelProgram {
             }
             plans.push(CorePlan { core, steps });
         }
-        let memory_map = mem_assign::assign(&program, htg, &graph, &schedule, platform)
-            .map_err(|e| ParirError { msg: e })?;
         let task_stmts = graph
             .htg_ids
             .iter()
@@ -237,6 +252,20 @@ impl ParallelProgram {
     pub fn sync_count(&self) -> usize {
         self.signal_count
     }
+}
+
+/// Rejects a schedule that does not cover exactly the graph's tasks.
+fn check_covers(graph: &TaskGraph, schedule: &Schedule) -> Result<(), ParirError> {
+    if schedule.assignment.len() != graph.len() {
+        return Err(ParirError {
+            msg: format!(
+                "schedule covers {} tasks but graph has {}",
+                schedule.assignment.len(),
+                graph.len()
+            ),
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -211,31 +211,44 @@ impl<'a> CostCtx<'a> {
                 let r = self.expr_cost(rhs, func, calls_out);
                 l + r + self.op_cost(self.binop_class(*op, lhs, rhs, func))
             }
-            Expr::Call { name, args } => {
-                if argo_ir::intrinsics::is_intrinsic(name) {
-                    let a: u64 = args
-                        .iter()
-                        .map(|x| self.expr_cost(x, func, calls_out))
-                        .sum();
-                    return a + self.intrinsic_cost(name);
-                }
-                calls_out.push(name.clone());
-                let callee = self.program.function(name);
-                let mut total = self.op_cost(OpClass::CallOverhead);
-                for (i, a) in args.iter().enumerate() {
-                    let is_array_param = callee
-                        .and_then(|f| f.params.get(i))
-                        .is_some_and(|p| p.ty.is_array());
-                    if !is_array_param {
-                        total += self.expr_cost(a, func, calls_out);
-                    }
-                }
-                total
-            }
+            Expr::Call { name, args } => self.call_cost(name, args, func, calls_out),
             Expr::Cast { arg, .. } => {
                 self.expr_cost(arg, func, calls_out) + self.op_cost(OpClass::Cast)
             }
         }
+    }
+
+    /// Worst-case cycles of a call `name(args)` inside `func`, as
+    /// [`CostCtx::expr_cost`] charges it: an intrinsic's latency, or a
+    /// user call's overhead with the callee reported through
+    /// `calls_out`. Array arguments are passed by reference and cost
+    /// nothing to evaluate.
+    pub fn call_cost(
+        &self,
+        name: &str,
+        args: &[Expr],
+        func: &str,
+        calls_out: &mut Vec<String>,
+    ) -> u64 {
+        if argo_ir::intrinsics::is_intrinsic(name) {
+            let a: u64 = args
+                .iter()
+                .map(|x| self.expr_cost(x, func, calls_out))
+                .sum();
+            return a + self.intrinsic_cost(name);
+        }
+        calls_out.push(name.to_string());
+        let callee = self.program.function(name);
+        let mut total = self.op_cost(OpClass::CallOverhead);
+        for (i, a) in args.iter().enumerate() {
+            let is_array_param = callee
+                .and_then(|f| f.params.get(i))
+                .is_some_and(|p| p.ty.is_array());
+            if !is_array_param {
+                total += self.expr_cost(a, func, calls_out);
+            }
+        }
+        total
     }
 
     fn binop_class(&self, op: BinOp, lhs: &Expr, rhs: &Expr, func: &str) -> OpClass {

@@ -11,7 +11,7 @@
 //! programs they must agree exactly, and the test suite asserts it.
 
 use crate::cost::CostCtx;
-use crate::schema::FunctionWcets;
+use crate::schema::{FunctionWcets, StmtIndex};
 use crate::value::LoopBounds;
 use crate::WcetError;
 use argo_ir::ast::*;
@@ -36,12 +36,12 @@ pub fn function_wcet_ipet(
         .function(func)
         .ok_or_else(|| WcetError::new(format!("no function `{func}`")))?;
     let cfg = Cfg::build(f);
-    let stmts = index_stmts(f);
+    let stmts = StmtIndex::new(f);
 
     // Per-item costs.
     let item_cost = |item: &CfgItem| -> Result<u64, WcetError> {
         let s = stmts
-            .get(&item.stmt_id())
+            .get(item.stmt_id())
             .ok_or_else(|| WcetError::new("dangling stmt id in CFG"))?;
         let mut calls = Vec::new();
         let c = match item {
@@ -87,7 +87,7 @@ pub fn function_wcet_ipet(
     // Loop pre-costs (bound-expression evaluation, charged once).
     let mut pre_cost: BTreeMap<StmtId, u64> = BTreeMap::new();
     for l in &cfg.loops {
-        if let Some(s) = stmts.get(&l.stmt) {
+        if let Some(s) = stmts.get(l.stmt) {
             if let StmtKind::For { lo, hi, .. } = &s.kind {
                 let mut calls = Vec::new();
                 let mut c =
@@ -153,7 +153,7 @@ pub fn function_wcet_ipet(
         let path = iter_path.ok_or_else(|| WcetError::new("loop latch unreachable from header"))?;
         // The failing (exiting) test: a `for` header only re-evaluates the
         // bound bookkeeping; a `while` header evaluates the condition.
-        let exit_test = match stmts.get(&l.stmt).map(|s| &s.kind) {
+        let exit_test = match stmts.get(l.stmt).map(|s| &s.kind) {
             Some(StmtKind::For { .. }) => ctx.op_cost(OpClass::LoopOverhead),
             _ => node_cost[l.header],
         };
@@ -224,14 +224,6 @@ fn level_distances(
     dist
 }
 
-fn index_stmts(f: &Function) -> BTreeMap<StmtId, &Stmt> {
-    let mut m = BTreeMap::new();
-    argo_ir::visit::walk_stmts(&f.body, &mut |s| {
-        m.insert(s.id, s);
-    });
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,7 +239,9 @@ mod tests {
         let mem = MemoryMap::new();
         let ctx = CostCtx::new(&p, &platform, CoreId(0), 1, &mem);
         let bounds = loop_bounds(&p, "main", &ValueCtx::default()).unwrap();
-        let fw = function_wcets(&ctx, &bounds).unwrap();
+        let calls = argo_ir::resolve::Resolution::of(&p);
+        let main = calls.function_index("main").unwrap() as u32;
+        let fw = function_wcets(&ctx, &bounds, &calls, &[main]).unwrap();
         let schema = fw["main"];
         let ipet = function_wcet_ipet(&ctx, &bounds, &fw, "main").unwrap();
         (schema, ipet)

@@ -6,7 +6,10 @@
 //! charge mirrors one event the interpreter reports to its hook, so the
 //! bound dominates any simulated execution by construction.
 //!
-//! Function WCETs are computed bottom-up over the (acyclic) call graph.
+//! Function WCETs are computed bottom-up over the (acyclic) call graph,
+//! for the functions the costed code can reach and no others: a task's
+//! cost reads only the WCETs of its callees, so costing the rest of the
+//! program (the entry body itself, dead helpers) would be wasted work.
 
 use crate::cache::{loop_fill_cost, loop_is_persistent};
 use crate::cost::CostCtx;
@@ -15,51 +18,68 @@ use crate::WcetError;
 use argo_adl::MemSpace;
 use argo_ir::ast::*;
 use argo_ir::interp::OpClass;
+use argo_ir::resolve::Resolution;
 use argo_ir::StmtId;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Per-function WCETs (body cost, excluding caller-side call overhead).
 pub type FunctionWcets = BTreeMap<String, u64>;
 
-/// Computes the WCET of every function, bottom-up over the call DAG.
+/// Computes the WCET of every function in `roots` and of every function
+/// they reach through calls, bottom-up over the call DAG. Functions no
+/// root reaches are not costed. `calls` is the resolution of
+/// `ctx.program` (its per-function callee lists are the call graph) and
+/// `roots` index its functions. To cost the tasks of a function, pass
+/// that function's callees; to cost the function itself, pass it.
 ///
 /// # Errors
 ///
-/// Returns [`WcetError`] if a loop bound is missing for some loop (run
-/// [`crate::value::loop_bounds`] first or rely on literal bounds).
-pub fn function_wcets(ctx: &CostCtx<'_>, bounds: &LoopBounds) -> Result<FunctionWcets, WcetError> {
+/// Returns [`WcetError`] if a loop bound is missing for some reachable
+/// loop (run [`crate::value::loop_bounds`] first or rely on literal
+/// bounds), or if the reachable call graph has a cycle.
+pub fn function_wcets(
+    ctx: &CostCtx<'_>,
+    bounds: &LoopBounds,
+    calls: &Resolution,
+    roots: &[u32],
+) -> Result<FunctionWcets, WcetError> {
+    let mut visits = vec![Visit::New; calls.functions.len()];
     let mut done = FunctionWcets::new();
-    // Iterate until all functions are resolved (call DAG: each pass
-    // resolves at least the leaves).
-    let mut remaining: Vec<&Function> = ctx.program.functions.iter().collect();
-    let mut guard = 0;
-    while !remaining.is_empty() {
-        guard += 1;
-        if guard > ctx.program.functions.len() + 1 {
-            return Err(WcetError::new("call graph is not acyclic"));
-        }
-        let mut next = Vec::new();
-        for f in remaining {
-            match body_wcet(ctx, bounds, &done, f) {
-                Ok(w) => {
-                    done.insert(f.name.clone(), w);
-                }
-                Err(e) if e.msg.starts_with("unresolved-callee:") => next.push(f),
-                Err(e) => return Err(e),
-            }
-        }
-        remaining = next;
+    for &root in roots {
+        cost_reachable(ctx, bounds, calls, root, &mut visits, &mut done)?;
     }
     Ok(done)
 }
 
-fn body_wcet(
+#[derive(Clone, Copy, PartialEq)]
+enum Visit {
+    New,
+    Active,
+    Done,
+}
+
+/// Costs `fi` after every function it calls (depth-first post-order).
+fn cost_reachable(
     ctx: &CostCtx<'_>,
     bounds: &LoopBounds,
-    fn_wcets: &FunctionWcets,
-    f: &Function,
-) -> Result<u64, WcetError> {
-    stmts_wcet(ctx, bounds, fn_wcets, &f.name, &f.body.stmts)
+    calls: &Resolution,
+    fi: u32,
+    visits: &mut [Visit],
+    done: &mut FunctionWcets,
+) -> Result<(), WcetError> {
+    match visits[fi as usize] {
+        Visit::Done => return Ok(()),
+        Visit::Active => return Err(WcetError::new("call graph is not acyclic")),
+        Visit::New => visits[fi as usize] = Visit::Active,
+    }
+    for &callee in &calls.function(fi as usize).callees {
+        cost_reachable(ctx, bounds, calls, callee, visits, done)?;
+    }
+    let f = &ctx.program.functions[fi as usize];
+    let w = stmts_wcet(ctx, bounds, done, &f.name, &f.body.stmts)?;
+    done.insert(f.name.clone(), w);
+    visits[fi as usize] = Visit::Done;
+    Ok(())
 }
 
 /// WCET of a statement sequence inside `func`.
@@ -131,8 +151,12 @@ pub fn stmt_wcet(
             // Cache persistence refinement: if this loop's data fits the
             // core's cache for sure, body accesses to those arrays cost a
             // hit and the fill is charged once.
-            let (body_ctx, fill) = cache_refined_ctx(ctx, func, s);
-            let body_cost = stmts_wcet(&body_ctx, bounds, fn_wcets, func, &body.stmts)?;
+            let refined = cache_refined_ctx(ctx, func, s);
+            let (body_ctx, fill) = match &refined {
+                Some((refined, fill)) => (refined, *fill),
+                None => (ctx, 0),
+            };
+            let body_cost = stmts_wcet(body_ctx, bounds, fn_wcets, func, &body.stmts)?;
             let per_iter = ctx.op_cost(OpClass::LoopOverhead) + ctx.access_cost(var) + body_cost;
             head + fill + b.saturating_mul(per_iter) + ctx.op_cost(OpClass::LoopOverhead)
         }
@@ -142,13 +166,7 @@ pub fn stmt_wcet(
             let body_cost = stmts_wcet(ctx, bounds, fn_wcets, func, &body.stmts)?;
             (b + 1).saturating_mul(c) + b.saturating_mul(body_cost)
         }
-        StmtKind::Call { name, args } => {
-            let e = Expr::Call {
-                name: name.clone(),
-                args: args.clone(),
-            };
-            ctx.expr_cost(&e, func, &mut calls)
-        }
+        StmtKind::Call { name, args } => ctx.call_cost(name, args, func, &mut calls),
         StmtKind::Return { value } => match value {
             Some(e) => ctx.expr_cost(e, func, &mut calls),
             None => 0,
@@ -166,29 +184,54 @@ pub fn stmt_wcet(
     Ok(total)
 }
 
-/// WCET of the statements with the given ids inside `func` — the per-task
-/// WCET entry point used by the scheduler.
+/// The statements of one function by id, nested ones included. Built
+/// once per stage call and shared by every task costed in that function.
+pub struct StmtIndex<'p> {
+    func: &'p str,
+    by_id: BTreeMap<StmtId, &'p Stmt>,
+}
+
+impl<'p> StmtIndex<'p> {
+    /// Indexes every statement of `f`.
+    pub fn new(f: &'p Function) -> StmtIndex<'p> {
+        let mut by_id = BTreeMap::new();
+        argo_ir::visit::walk_stmts(&f.body, &mut |s| {
+            by_id.insert(s.id, s);
+        });
+        StmtIndex {
+            func: &f.name,
+            by_id,
+        }
+    }
+
+    /// The statement with `id`, if the function has one.
+    pub fn get(&self, id: StmtId) -> Option<&'p Stmt> {
+        self.by_id.get(&id).copied()
+    }
+
+    /// Name of the indexed function.
+    pub fn func(&self) -> &'p str {
+        self.func
+    }
+}
+
+/// WCET of the statements with the given ids inside the indexed
+/// function — the per-task WCET entry point used by the scheduler.
 ///
 /// # Errors
 ///
-/// Returns [`WcetError`] if an id does not exist in the function.
+/// Returns [`WcetError`] if an id does not exist in the function, or as
+/// [`stmt_wcet`] does.
 pub fn stmt_ids_wcet(
     ctx: &CostCtx<'_>,
     bounds: &LoopBounds,
     fn_wcets: &FunctionWcets,
-    func: &str,
+    index: &StmtIndex<'_>,
     ids: &[StmtId],
 ) -> Result<u64, WcetError> {
-    let f = ctx
-        .program
-        .function(func)
-        .ok_or_else(|| WcetError::new(format!("no function `{func}`")))?;
-    let mut index: BTreeMap<StmtId, &Stmt> = BTreeMap::new();
-    argo_ir::visit::walk_stmts(&f.body, &mut |s| {
-        index.insert(s.id, s);
-    });
+    let func = index.func();
     let mut total = 0u64;
-    for id in ids {
+    for &id in ids {
         let s = index
             .get(id)
             .ok_or_else(|| WcetError::new(format!("no statement {id} in `{func}`")))?;
@@ -216,13 +259,15 @@ fn loop_bound_of(_ctx: &CostCtx<'_>, bounds: &LoopBounds, s: &Stmt) -> Result<u6
 }
 
 /// Builds a body context with cache-persistence overrides for a `for`
-/// loop, plus the one-time fill cost. Returns the unchanged context and
-/// zero fill when the core has no cache, the loop's footprint is not
-/// provably persistent, or the refinement is already active.
-fn cache_refined_ctx<'a>(ctx: &CostCtx<'a>, func: &str, loop_stmt: &Stmt) -> (CostCtx<'a>, u64) {
-    let Some(cache) = ctx.platform.core(ctx.core).cache else {
-        return (ctx.clone(), 0);
-    };
+/// loop, plus the one-time fill cost. Returns `None` (the body keeps the
+/// enclosing context) when the core has no cache, the loop's footprint
+/// is not provably persistent, or the refinement is already active.
+fn cache_refined_ctx<'a>(
+    ctx: &CostCtx<'a>,
+    func: &str,
+    loop_stmt: &Stmt,
+) -> Option<(CostCtx<'a>, u64)> {
+    let cache = ctx.platform.core(ctx.core).cache?;
     // Collect shared arrays accessed in the loop subtree.
     let (reads, writes) = argo_ir::visit::stmt_rw(loop_stmt);
     let syms = ctx.symbols(func);
@@ -240,14 +285,14 @@ fn cache_refined_ctx<'a>(ctx: &CostCtx<'a>, func: &str, loop_stmt: &Stmt) -> (Co
         }
         if ctx.overrides.contains_key(v) {
             // Already refined by an enclosing loop.
-            return (ctx.clone(), 0);
+            return None;
         }
         let p = ctx.mem.placement(v);
         let (base, size) = p.map_or((0, 0), |p| (p.base_addr, p.size_bytes));
         arrays.push((v.clone(), base, size));
     }
     if arrays.is_empty() || !loop_is_persistent(&arrays, &cache) {
-        return (ctx.clone(), 0);
+        return None;
     }
     let mut refined = ctx.clone();
     for (name, _, _) in &arrays {
@@ -259,7 +304,7 @@ fn cache_refined_ctx<'a>(ctx: &CostCtx<'a>, func: &str, loop_stmt: &Stmt) -> (Co
             .platform
             .worst_case_shared_access(ctx.core, ctx.contenders);
     let fill = loop_fill_cost(&arrays, &cache, miss_cost);
-    (refined, fill)
+    Some((refined, fill))
 }
 
 #[cfg(test)]
@@ -269,6 +314,13 @@ mod tests {
     use argo_adl::{CoreId, MemoryMap, Platform};
     use argo_ir::parse::parse_program;
 
+    /// The WCETs of `main` and of every function it reaches.
+    fn main_wcets(ctx: &CostCtx<'_>, bounds: &LoopBounds) -> Result<FunctionWcets, WcetError> {
+        let calls = Resolution::of(ctx.program);
+        let main = calls.function_index("main").expect("program has main") as u32;
+        function_wcets(ctx, bounds, &calls, &[main])
+    }
+
     fn wcet_of(src: &str) -> u64 {
         let p = parse_program(src).unwrap();
         argo_ir::validate::validate(&p).unwrap();
@@ -276,7 +328,7 @@ mod tests {
         let mem = MemoryMap::new();
         let ctx = CostCtx::new(&p, &platform, CoreId(0), 1, &mem);
         let bounds = loop_bounds(&p, "main", &ValueCtx::default()).unwrap();
-        function_wcets(&ctx, &bounds).unwrap()["main"]
+        main_wcets(&ctx, &bounds).unwrap()["main"]
     }
 
     #[test]
@@ -353,7 +405,7 @@ mod tests {
         let platform = Platform::xentium_manycore(1);
         let mem = MemoryMap::new();
         let ctx = CostCtx::new(&p, &platform, CoreId(0), 1, &mem);
-        let err = function_wcets(&ctx, &LoopBounds::new()).unwrap_err();
+        let err = main_wcets(&ctx, &LoopBounds::new()).unwrap_err();
         assert!(err.msg.contains("no loop bound"));
     }
 
@@ -366,10 +418,8 @@ mod tests {
         let bounds = loop_bounds(&p, "main", &ValueCtx::default()).unwrap();
         let x = Platform::xentium_manycore(1);
         let l = Platform::kit_tile_noc(1, 1);
-        let wx =
-            function_wcets(&CostCtx::new(&p, &x, CoreId(0), 1, &mem), &bounds).unwrap()["main"];
-        let wl =
-            function_wcets(&CostCtx::new(&p, &l, CoreId(0), 1, &mem), &bounds).unwrap()["main"];
+        let wx = main_wcets(&CostCtx::new(&p, &x, CoreId(0), 1, &mem), &bounds).unwrap()["main"];
+        let wl = main_wcets(&CostCtx::new(&p, &l, CoreId(0), 1, &mem), &bounds).unwrap()["main"];
         assert!(wl > wx);
     }
 
@@ -383,8 +433,9 @@ mod tests {
         let mem = MemoryMap::new();
         let ctx = CostCtx::new(&p, &platform, CoreId(0), 1, &mem);
         let bounds = loop_bounds(&p, "main", &ValueCtx::default()).unwrap();
-        let fw = function_wcets(&ctx, &bounds).unwrap();
+        let fw = main_wcets(&ctx, &bounds).unwrap();
         let f = p.function("main").unwrap();
+        let index = StmtIndex::new(f);
         let loop_ids: Vec<StmtId> = f
             .body
             .stmts
@@ -392,8 +443,8 @@ mod tests {
             .filter(|s| matches!(s.kind, StmtKind::For { .. }))
             .map(|s| s.id)
             .collect();
-        let t1 = stmt_ids_wcet(&ctx, &bounds, &fw, "main", &loop_ids[..1]).unwrap();
-        let t2 = stmt_ids_wcet(&ctx, &bounds, &fw, "main", &loop_ids[1..]).unwrap();
+        let t1 = stmt_ids_wcet(&ctx, &bounds, &fw, &index, &loop_ids[..1]).unwrap();
+        let t2 = stmt_ids_wcet(&ctx, &bounds, &fw, &index, &loop_ids[1..]).unwrap();
         let whole = fw["main"];
         // The two loop tasks together account for the whole body.
         assert!(t1 + t2 <= whole);
@@ -416,10 +467,10 @@ mod tests {
             },
         );
         let bounds = loop_bounds(&p, "main", &ValueCtx::default()).unwrap();
-        let w1 = function_wcets(&CostCtx::new(&p, &platform, CoreId(0), 1, &mem), &bounds).unwrap()
-            ["main"];
-        let w4 = function_wcets(&CostCtx::new(&p, &platform, CoreId(0), 4, &mem), &bounds).unwrap()
-            ["main"];
+        let w1 =
+            main_wcets(&CostCtx::new(&p, &platform, CoreId(0), 1, &mem), &bounds).unwrap()["main"];
+        let w4 =
+            main_wcets(&CostCtx::new(&p, &platform, CoreId(0), 4, &mem), &bounds).unwrap()["main"];
         assert!(w4 > w1, "contenders inflate WCET: {w1} vs {w4}");
     }
 }

@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         artifact.fingerprint()
     );
     let costs = flow.run_seed_costs(&artifact)?;
-    let result = flow.run_backend(artifact, Some(&costs))?;
+    let result = flow.run_backend(&artifact, Some(&costs))?;
     println!("{}", result.report());
 
     // 4. Inspect the explicitly parallel program (per-core pseudo-C).

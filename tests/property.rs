@@ -7,15 +7,19 @@
 //!
 //! * parser/printer round-trip;
 //! * timing-schema ≡ IPET cross-validation on arbitrary programs;
+//! * per-task costs over the entry's statement index and reachable
+//!   callees equal per-statement sums over a whole-program table;
 //! * interpreter values stay within the interval analysis' loop bounds;
 //! * DOALL chunking preserves semantics on arbitrary map loops;
 //! * schedulers produce valid schedules with makespan between the
 //!   critical-path lower bound and the sequential upper bound.
 
-use argo_adl::{CoreId, MemoryMap, Platform};
+use argo_adl::{CacheConfig, CoreId, MemSpace, MemoryMap, Placement, Platform};
+use argo_htg::Granularity;
 use argo_ir::ast::{BinOp, Expr};
 use argo_ir::interp::{ArgVal, ArrayData, Interp, NullHook};
 use argo_ir::parse::parse_program;
+use argo_ir::resolve::Resolution;
 use argo_sched::anneal::SimulatedAnnealing;
 use argo_sched::bnb::BranchAndBound;
 use argo_sched::list::ListScheduler;
@@ -23,7 +27,7 @@ use argo_sched::random::{random_task_graph, RandomGraphParams};
 use argo_sched::{sequential_schedule, SchedCtx, Scheduler};
 use argo_wcet::cost::CostCtx;
 use argo_wcet::ipet::function_wcet_ipet;
-use argo_wcet::schema::function_wcets;
+use argo_wcet::schema::{function_wcets, stmt_ids_wcet, stmt_wcet, FunctionWcets, StmtIndex};
 use argo_wcet::value::{loop_bounds, ValueCtx};
 use proptest::prelude::*;
 
@@ -79,6 +83,27 @@ fn arb_program() -> BoxedStrategy<String> {
         .boxed()
 }
 
+/// Gives a generated program callees: `main` calls `helper` (which has
+/// a loop of its own) in an expression and `touch` as a statement, and
+/// `dead`, which nothing calls, calls `helper` and `main`.
+fn with_calls(src: &str) -> String {
+    let main = src.replacen("x = 1.0;", "x = helper(1.0);\n touch(b);", 1);
+    format!(
+        "real helper(real v) {{ real acc; int k; acc = v; \
+           for (k = 0; k < 3; k = k + 1) {{ acc = acc * 0.5 + 1.0; }} return acc; }}\n\
+         void touch(real b[{ARRAY}]) {{ b[0] = b[0] + 1.0; }}\n\
+         void dead(real a[{ARRAY}], real b[{ARRAY}]) {{ real y; y = helper(2.0); main(a, b); }}\n\
+         {main}"
+    )
+}
+
+/// WCETs of `main` and every function it reaches.
+fn main_wcets(ctx: &CostCtx<'_>, bounds: &argo_wcet::value::LoopBounds) -> FunctionWcets {
+    let calls = Resolution::of(ctx.program);
+    let main = calls.function_index("main").expect("has main") as u32;
+    function_wcets(ctx, bounds, &calls, &[main]).expect("schema")
+}
+
 fn input_args(seed: u64) -> Vec<ArgVal> {
     let vals: Vec<f64> = (0..ARRAY)
         .map(|k| ((k as u64 * 7 + seed) % 13) as f64 * 0.5)
@@ -112,9 +137,75 @@ proptest! {
         let mem = MemoryMap::new();
         let ctx = CostCtx::new(&p, &platform, CoreId(0), 1, &mem);
         let bounds = loop_bounds(&p, "main", &ValueCtx::default()).expect("bounded");
-        let fw = function_wcets(&ctx, &bounds).expect("schema");
+        let fw = main_wcets(&ctx, &bounds);
         let ipet = function_wcet_ipet(&ctx, &bounds, &fw, "main").expect("ipet");
         prop_assert_eq!(fw["main"], ipet);
+    }
+
+    /// A task costed the backend's way — the entry's statement index and
+    /// the WCETs of the functions the entry reaches — costs exactly the
+    /// sum of its statements over a table of every function in the
+    /// program, at every granularity, with and without a data cache.
+    #[test]
+    fn reachable_indexed_task_costs_equal_whole_program_sums(
+        src in arb_program(),
+        granularity in prop_oneof![
+            Just(Granularity::Loop),
+            Just(Granularity::Block),
+            Just(Granularity::Stmt),
+        ],
+        cached in any::<bool>(),
+    ) {
+        let p = parse_program(&with_calls(&src)).expect("parses");
+        argo_ir::validate::validate(&p).expect("validates");
+        let mut platform = Platform::xentium_manycore(1);
+        if cached {
+            platform = platform.with_caches(CacheConfig::small());
+        }
+        let mut mem = MemoryMap::new();
+        for (k, name) in ["a", "b"].into_iter().enumerate() {
+            let size_bytes = 8 * ARRAY as u64;
+            mem.insert(
+                name,
+                Placement {
+                    space: MemSpace::Shared,
+                    base_addr: k as u64 * size_bytes,
+                    size_bytes,
+                },
+            );
+        }
+        let ctx = CostCtx::new(&p, &platform, CoreId(0), 1, &mem);
+        let bounds = loop_bounds(&p, "main", &ValueCtx::default()).expect("bounded");
+        let calls = Resolution::of(&p);
+        let main = calls.function_index("main").expect("has main");
+
+        let reachable = function_wcets(&ctx, &bounds, &calls, &calls.function(main).callees)
+            .expect("reachable costs");
+        let all: Vec<u32> = (0..p.functions.len() as u32).collect();
+        let whole = function_wcets(&ctx, &bounds, &calls, &all).expect("whole-program costs");
+        prop_assert!(!reachable.contains_key("main") && !reachable.contains_key("dead"));
+        prop_assert_eq!(reachable.len(), 2);
+
+        let f = p.function("main").expect("has main");
+        let index = StmtIndex::new(f);
+        let htg = argo_htg::extract::extract(&p, "main", granularity).expect("extracts");
+        for task in &htg.tasks {
+            let indexed = stmt_ids_wcet(&ctx, &bounds, &reachable, &index, &task.stmts)
+                .expect("task costs");
+            let mut summed = 0u64;
+            for &id in &task.stmts {
+                let mut found = None;
+                argo_ir::visit::walk_stmts(&f.body, &mut |s| {
+                    if s.id == id {
+                        found = Some(s);
+                    }
+                });
+                let s = found.expect("task statement is in main");
+                let w = stmt_wcet(&ctx, &bounds, &whole, "main", s).expect("statement costs");
+                summed = summed.saturating_add(w);
+            }
+            prop_assert_eq!(indexed, summed, "task {}", task.name);
+        }
     }
 
     /// The code-level WCET bound dominates the simulator-style worst-case
@@ -126,7 +217,7 @@ proptest! {
         let mem = MemoryMap::new();
         let ctx = CostCtx::new(&p, &platform, CoreId(0), 1, &mem);
         let bounds = loop_bounds(&p, "main", &ValueCtx::default()).expect("bounded");
-        let fw = function_wcets(&ctx, &bounds).expect("schema");
+        let fw = main_wcets(&ctx, &bounds);
 
         // Charge the sequential run with the same worst-case tables.
         struct ChargeHook<'a> {

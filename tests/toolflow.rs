@@ -11,6 +11,8 @@
 //!    fingerprints are pinned to fixed expected hashes, so any process,
 //!    build or refactor that changes the encoding fails this regression
 //!    (the contract persistent caches rely on).
+//! 4. **Reachable-only costing** — code-level WCET costs the functions
+//!    the entry reaches and no others, so dead code cannot fail a run.
 
 use argo_adl::Platform;
 use argo_core::{
@@ -39,7 +41,7 @@ fn staged_session_report_is_byte_identical_to_legacy_compile() {
                 .config(cfg);
             let artifact = flow.run_frontend().unwrap();
             let costs = flow.run_seed_costs(&artifact).unwrap();
-            let staged = flow.run_backend(artifact, Some(&costs)).unwrap();
+            let staged = flow.run_backend(&artifact, Some(&costs)).unwrap();
             assert_eq!(
                 legacy.report(),
                 staged.report(),
@@ -108,9 +110,9 @@ proptest! {
         let artifact = flow.run_frontend().unwrap();
         let r = if seeded {
             let costs = flow.run_seed_costs(&artifact).unwrap();
-            flow.run_backend(artifact, Some(&costs)).unwrap()
+            flow.run_backend(&artifact, Some(&costs)).unwrap()
         } else {
-            flow.run_backend(artifact, None).unwrap()
+            flow.run_backend(&artifact, None).unwrap()
         };
         prop_assert!(obs.well_nested(), "events not well-nested: {:?}", obs.events());
         prop_assert_eq!(obs.finished_count(Stage::Frontend), 1);
@@ -178,7 +180,7 @@ fn observer_seq_is_contiguous_across_all_event_kinds() {
         .observer(&obs);
     let artifact = flow.run_frontend().unwrap();
     let costs = flow.run_seed_costs(&artifact).unwrap();
-    flow.run_backend(artifact, Some(&costs)).unwrap();
+    flow.run_backend(&artifact, Some(&costs)).unwrap();
 
     let seqs = obs.seqs();
     let expected: Vec<u64> = (0..seqs.len() as u64).collect();
@@ -197,4 +199,35 @@ fn observer_seq_is_contiguous_across_all_event_kinds() {
         .observer(&obs2);
     flow2.run_frontend().unwrap();
     assert_eq!(obs2.seqs(), vec![0, 1]);
+}
+
+/// A function the entry never calls is not costed: neither a loop no
+/// analysis can bound nor a call back into the entry fails the seed
+/// costs or the backend, and the bound equals that of the program
+/// without the dead function.
+#[test]
+fn functions_unreachable_from_the_entry_are_not_costed() {
+    let platform = Platform::xentium_manycore(2);
+    let plain = Toolflow::new(argo_ir::parse::parse_program(TINY).unwrap(), "main")
+        .platform(&platform)
+        .run()
+        .unwrap();
+    let unbounded = "void dead(real a[32], int n) { int i; \
+                     for (i = 0; i < n; i = i + 1) { a[i] = 0.0; } }";
+    let calls_entry = "real dead(real a[32], real b[32]) { return main(a, b) + 1.0; }";
+    for dead in [unbounded, calls_entry] {
+        let program = argo_ir::parse::parse_program(&format!("{dead}\n{TINY}")).unwrap();
+        let flow = Toolflow::new(program, "main").platform(&platform);
+        let artifact = flow.run_frontend().unwrap();
+        let costs = flow
+            .run_seed_costs(&artifact)
+            .unwrap_or_else(|e| panic!("{dead}: {e}"));
+        for seed in [Some(&costs), None] {
+            let r = flow
+                .run_backend(&artifact, seed)
+                .unwrap_or_else(|e| panic!("{dead}: {e}"));
+            assert_eq!(r.system.bound, plain.system.bound, "{dead}");
+            assert_eq!(r.sequential_bound, plain.sequential_bound, "{dead}");
+        }
+    }
 }
