@@ -7,7 +7,9 @@
 //! persistent-store round trip of a `BackendResult`, one hot
 //! `argo-serve` request/response roundtrip over a local socket) plus
 //! the end-to-end e1/e2 experiment wall time, and writes one JSON file
-//! with `median_ns` and a derived throughput per bench. When a baseline
+//! with `median_ns` and a derived throughput per bench. A row may add
+//! one more deterministic work count (`sched_anneal_egpws` reports the
+//! tasks its proposal evaluations `dispatched`). When a baseline
 //! file is given (`--baseline PATH`, a previous output of this harness),
 //! each bench also records `before_median_ns` and the resulting
 //! `speedup`, so the perf trajectory of the repo is recorded as data
@@ -40,6 +42,8 @@ struct BenchRow {
     items: u64,
     /// Unit of `items` for the throughput field.
     unit: &'static str,
+    /// An extra deterministic work count per run, as `(name, count)`.
+    work: Option<(&'static str, u64)>,
 }
 
 fn median_ns(samples: &mut [u64]) -> u64 {
@@ -80,6 +84,7 @@ fn bench_interp_egpws(samples: usize) -> BenchRow {
         median_ns: median,
         items: counter.stmts,
         unit: "stmts",
+        work: None,
     }
 }
 
@@ -98,6 +103,7 @@ fn bench_value_weaa(samples: usize) -> BenchRow {
         median_ns: median,
         items: bounds.len() as u64,
         unit: "loops",
+        work: None,
     }
 }
 
@@ -119,6 +125,7 @@ fn bench_list_1000(samples: usize) -> BenchRow {
         median_ns: median,
         items: g.len() as u64,
         unit: "tasks",
+        work: None,
     }
 }
 
@@ -132,6 +139,7 @@ fn bench_anneal_egpws(samples: usize) -> BenchRow {
         comm: CommModel::SignalOnly,
     };
     let anneal = SimulatedAnnealing::new();
+    let (_, dispatched) = anneal.schedule_counted(&g, &ctx);
     let median = time_n(samples, || {
         std::hint::black_box(anneal.schedule(&g, &ctx).makespan());
     });
@@ -140,6 +148,7 @@ fn bench_anneal_egpws(samples: usize) -> BenchRow {
         median_ns: median,
         items: anneal.iterations as u64,
         unit: "proposals",
+        work: Some(("dispatched", dispatched)),
     }
 }
 
@@ -160,6 +169,7 @@ fn bench_bnb_polka4(samples: usize) -> BenchRow {
         median_ns: median,
         items: expanded,
         unit: "nodes",
+        work: None,
     }
 }
 
@@ -183,6 +193,7 @@ fn bench_backend_egpws(samples: usize) -> BenchRow {
         median_ns: median,
         items: tasks_costed,
         unit: "tasks",
+        work: None,
     }
 }
 
@@ -207,6 +218,7 @@ fn bench_verify(samples: usize) -> BenchRow {
         median_ns: median,
         items: tasks,
         unit: "tasks",
+        work: None,
     }
 }
 
@@ -241,6 +253,7 @@ fn bench_store_roundtrip(samples: usize) -> BenchRow {
         median_ns: median,
         items: bytes,
         unit: "bytes",
+        work: None,
     }
 }
 
@@ -275,6 +288,7 @@ fn bench_serve_roundtrip(samples: usize) -> BenchRow {
         median_ns: median,
         items: 1,
         unit: "requests",
+        work: None,
     }
 }
 
@@ -287,6 +301,7 @@ fn bench_e1(samples: usize) -> BenchRow {
         median_ns: median,
         items: 3,
         unit: "use-cases",
+        work: None,
     }
 }
 
@@ -299,6 +314,7 @@ fn bench_e2(samples: usize) -> BenchRow {
         median_ns: median,
         items: 9,
         unit: "compiles",
+        work: None,
     }
 }
 
@@ -358,6 +374,9 @@ fn main() {
              \"throughput_per_s\": {:.1}",
             row.name, row.median_ns, row.items, row.unit, per_s
         );
+        if let Some((name, count)) = row.work {
+            let _ = write!(json, ", \"{name}\": {count}");
+        }
         if let Some(before) = baseline
             .as_deref()
             .and_then(|b| baseline_median(b, row.name))
@@ -372,8 +391,11 @@ fn main() {
             }
         }
         json.push_str(if i + 1 == rows.len() { "}\n" } else { "},\n" });
+        let work = row
+            .work
+            .map_or(String::new(), |(name, count)| format!(", {count} {name}"));
         eprintln!(
-            "{:<16} median {:>12} ns   ({:.1} {}/s)",
+            "{:<16} median {:>12} ns   ({:.1} {}/s{work})",
             row.name, row.median_ns, per_s, row.unit
         );
     }

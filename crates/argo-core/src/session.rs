@@ -459,17 +459,23 @@ pub(crate) fn run_frontend_impl(
         }
 
         // --- Program analysis & predictability transformations (§ II-B).
-        ConstantFold
-            .run(&mut program)
-            .map_err(|e| frontend_err(ErrorCode::TransformFailed, e))?;
-        program.renumber();
-        if cfg.chunk_loops && core_count > 1 {
-            chunk_all_parallel_loops(&mut program, entry, core_count)
-                .map_err(|e| frontend_err(ErrorCode::TransformFailed, e))?;
+        // Each phase has its own span inside `stage.frontend` (inert
+        // unless `spans_on`).
+        let fold = |program: &mut Program| {
+            let _span = argo_trace::span("frontend.fold");
             ConstantFold
-                .run(&mut program)
+                .run(program)
                 .map_err(|e| frontend_err(ErrorCode::TransformFailed, e))?;
             program.renumber();
+            Ok::<(), Diagnostic>(())
+        };
+        fold(&mut program)?;
+        if cfg.chunk_loops && core_count > 1 {
+            let chunk_span = argo_trace::span("frontend.chunk");
+            chunk_all_parallel_loops(&mut program, entry, core_count)
+                .map_err(|e| frontend_err(ErrorCode::TransformFailed, e))?;
+            drop(chunk_span);
+            fold(&mut program)?;
         }
         argo_ir::validate::validate(&program)
             .map_err(|e| frontend_err(ErrorCode::InvalidProgram, e))?;
@@ -477,20 +483,28 @@ pub(crate) fn run_frontend_impl(
         // --- Slot resolution of the final (transformed, renumbered)
         // program: one pass, reused by the value analysis below, stored
         // in the artifact for every downstream interpreter.
+        let resolve_span = argo_trace::span("frontend.resolve");
         let resolution = argo_ir::resolve::Resolution::of(&program);
+        drop(resolve_span);
 
         // --- Loop bounds (value analysis).
+        let value_span = argo_trace::span("frontend.value");
         let bounds = loop_bounds_resolved(&resolution, entry, &cfg.value_ctx)
             .map_err(|e| frontend_err(ErrorCode::UnboundedLoop, e).with_entity(entry))?;
+        drop(value_span);
 
         // --- Task extraction (HTG) + access annotation.
+        let extract_span = argo_trace::span("frontend.extract");
         let mut htg = extract(&program, entry, cfg.granularity)
             .map_err(|e| frontend_err(ErrorCode::ExtractionFailed, e))?;
+        drop(extract_span);
+        let annotate_span = argo_trace::span("frontend.annotate");
         let actx = AnnotateCtx {
             bounds: bounds.clone(),
             default_bound: 1,
         };
         argo_htg::accesses::annotate(&mut htg, &program, &actx);
+        drop(annotate_span);
         if htg.top_level.is_empty() {
             return Err(Diagnostic::new(
                 Stage::Frontend,

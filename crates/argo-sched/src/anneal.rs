@@ -14,11 +14,20 @@
 //! communication-cost table, both built once per `schedule()` call. The
 //! RNG draws happen in the same order as with a cloned candidate, so
 //! the schedules are the same.
+//!
+//! Evaluation is incremental. Tasks are dispatched in one fixed
+//! topological order, so a move can only change the tasks from the
+//! moved task's position on. A proposal re-dispatches that suffix into
+//! a candidate buffer set, which an accept commits and a reject drops.
+//! A swap of two tasks on the same core is answered with the current
+//! makespan without any dispatch. Every makespan equals a full
+//! evaluation of the same assignment; debug builds assert it per
+//! proposal.
 
 use crate::list::ListScheduler;
 use crate::{
-    eval_into, evaluate_assignment_indexed, CommTable, EvalScratch, SchedCtx, Schedule, Scheduler,
-    TaskGraph,
+    eval_into, evaluate_assignment_indexed, CommTable, EvalScratch, IncrementalEval, SchedCtx,
+    Schedule, Scheduler, TaskGraph,
 };
 use argo_adl::CoreId;
 use rand::rngs::StdRng;
@@ -66,29 +75,31 @@ impl SimulatedAnnealing {
             ..SimulatedAnnealing::default()
         }
     }
-}
 
-impl Scheduler for SimulatedAnnealing {
-    fn schedule(&self, g: &TaskGraph, ctx: &SchedCtx<'_>) -> Schedule {
+    /// [`Scheduler::schedule`], also returning the number of tasks the
+    /// proposal evaluations dispatched (the work behind
+    /// `argo_sched_anneal_dispatched_total`).
+    pub fn schedule_counted(&self, g: &TaskGraph, ctx: &SchedCtx<'_>) -> (Schedule, u64) {
         let n = g.len();
         // One adjacency index for the seed schedule and every proposal
         // evaluation — the annealer used to rebuild preds/succs/indeg
         // adjacency on all `iterations` proposals.
         let idx = g.index();
         if n == 0 {
-            return evaluate_assignment_indexed(g, &idx, ctx, &[]);
+            return (evaluate_assignment_indexed(g, &idx, ctx, &[]), 0);
         }
         let cores = ctx.cores();
         let comm = CommTable::new(ctx);
         let seed_sched = ListScheduler::new().schedule_with(g, &idx, &comm);
         if cores < 2 {
-            return seed_sched;
+            return (seed_sched, 0);
         }
-        let mut scratch = EvalScratch::default();
         let mut current = seed_sched.assignment.clone();
         // Evaluate the seed assignment with the same (non-insertion)
         // kernel the proposals use, so acceptance is consistent.
-        let mut current_ms = eval_into(g, &idx, &comm, &current, &mut scratch);
+        let (mut eval, mut current_ms) = IncrementalEval::new(g, &idx, &comm, &current);
+        #[cfg(debug_assertions)]
+        let mut check = EvalScratch::default();
         let mut best = current.clone();
         let mut best_ms = current_ms;
 
@@ -99,16 +110,20 @@ impl Scheduler for SimulatedAnnealing {
         // metrics gate is on — the proposal loop stays free of shared
         // memory traffic either way.
         let mut accepts = 0u64;
+        let mut dispatched = 0u64;
         for it in 0..self.iterations {
             let temp = t0 * (1.0 - it as f64 / self.iterations as f64).max(1e-6);
             // Apply the move to `current` in place; `undo` restores it
-            // if the proposal is rejected.
-            let undo = if n >= 2 && rng.gen_bool(0.3) {
+            // if the proposal is rejected. `from` is the first position
+            // of the dispatch order the move changes, `None` for a swap
+            // of two tasks on one core, which changes nothing.
+            let (undo, from) = if n >= 2 && rng.gen_bool(0.3) {
                 // Swap the cores of two tasks.
                 let a = rng.gen_range(0..n);
                 let b = rng.gen_range(0..n);
                 current.swap(a, b);
-                Undo::Swap(a, b)
+                let from = (current[a] != current[b]).then(|| idx.position(a).min(idx.position(b)));
+                (Undo::Swap(a, b), from)
             } else {
                 // Move one task to a random other core.
                 let t = rng.gen_range(0..n);
@@ -117,15 +132,31 @@ impl Scheduler for SimulatedAnnealing {
                     c = (c + 1) % cores;
                 }
                 let old = std::mem::replace(&mut current[t], CoreId(c));
-                Undo::Move(t, old)
+                (Undo::Move(t, old), Some(idx.position(t)))
             };
-            let ms = eval_into(g, &idx, &comm, &current, &mut scratch);
+            let ms = match from {
+                None => current_ms,
+                Some(from) => {
+                    dispatched += (n - from) as u64;
+                    let ms = eval.propose(g, &idx, &comm, &current, from);
+                    #[cfg(debug_assertions)]
+                    assert_eq!(
+                        ms,
+                        eval_into(g, &idx, &comm, &current, &mut check),
+                        "incremental makespan differs from a full evaluation"
+                    );
+                    ms
+                }
+            };
             let accept = ms <= current_ms || {
                 let delta = (ms - current_ms) as f64;
                 rng.gen_bool((-delta / temp).exp().clamp(0.0, 1.0))
             };
             if accept {
                 accepts += 1;
+                if from.is_some() {
+                    eval.accept();
+                }
                 current_ms = ms;
                 if ms < best_ms {
                     best_ms = ms;
@@ -143,14 +174,24 @@ impl Scheduler for SimulatedAnnealing {
             m.counter("argo_sched_anneal_proposals_total")
                 .add(self.iterations as u64);
             m.counter("argo_sched_anneal_accepts_total").add(accepts);
+            m.counter("argo_sched_anneal_dispatched_total")
+                .add(dispatched);
         }
         // The list seed uses gap insertion, which the plain evaluation
         // kernel cannot reproduce; never return worse than the seed.
-        if eval_into(g, &idx, &comm, &best, &mut scratch) <= seed_sched.makespan() {
-            scratch.into_schedule(&best)
+        let mut scratch = EvalScratch::default();
+        let schedule = if eval_into(g, &idx, &comm, &best, &mut scratch) <= seed_sched.makespan() {
+            scratch.to_schedule(g, &best)
         } else {
             seed_sched
-        }
+        };
+        (schedule, dispatched)
+    }
+}
+
+impl Scheduler for SimulatedAnnealing {
+    fn schedule(&self, g: &TaskGraph, ctx: &SchedCtx<'_>) -> Schedule {
+        self.schedule_counted(g, ctx).0
     }
 
     fn name(&self) -> &'static str {

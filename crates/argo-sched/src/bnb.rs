@@ -153,7 +153,7 @@ impl BranchAndBound {
         // schedule worse than the seed.
         let mut scratch = EvalScratch::default();
         if eval_into(g, &idx, &comm, &best_assignment, &mut scratch) <= seed.makespan() {
-            (scratch.into_schedule(&best_assignment), expanded)
+            (scratch.to_schedule(g, &best_assignment), expanded)
         } else {
             (seed, expanded)
         }

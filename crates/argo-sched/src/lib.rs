@@ -198,6 +198,8 @@ pub struct TaskGraphIndex {
     succ_adj: Vec<(usize, u64)>,
     indeg: Vec<u32>,
     topo: Vec<usize>,
+    /// Position of each task in `topo`.
+    pos: Vec<u32>,
 }
 
 impl TaskGraphIndex {
@@ -229,23 +231,29 @@ impl TaskGraphIndex {
             succ_cur[f] += 1;
         }
         let indeg: Vec<u32> = (0..n).map(|i| pred_off[i + 1] - pred_off[i]).collect();
-        // Cached topological order (identical pop discipline to the
-        // historical `TaskGraph::topo_order`).
+        // The cached topological order pops the lowest ready index
+        // first. It depends only on the graph, so the evaluation kernel
+        // walks it instead of keeping a ready heap per evaluation.
         let mut remaining = indeg.clone();
-        let mut queue: Vec<usize> = (0..n).filter(|&i| remaining[i] == 0).collect();
+        let mut ready: BinaryHeap<Reverse<usize>> =
+            (0..n).filter(|&i| remaining[i] == 0).map(Reverse).collect();
         let mut topo = Vec::with_capacity(n);
-        while let Some(t) = queue.pop() {
+        while let Some(Reverse(t)) = ready.pop() {
             topo.push(t);
             let lo = succ_off[t] as usize;
             let hi = succ_off[t + 1] as usize;
             for &(s, _) in &succ_adj[lo..hi] {
                 remaining[s] -= 1;
                 if remaining[s] == 0 {
-                    queue.push(s);
+                    ready.push(Reverse(s));
                 }
             }
         }
         assert_eq!(topo.len(), n, "task graph contains a cycle");
+        let mut pos = vec![0u32; n];
+        for (q, &t) in topo.iter().enumerate() {
+            pos[t] = q as u32;
+        }
         TaskGraphIndex {
             pred_off,
             pred_adj,
@@ -253,6 +261,7 @@ impl TaskGraphIndex {
             succ_adj,
             indeg,
             topo,
+            pos,
         }
     }
 
@@ -284,10 +293,18 @@ impl TaskGraphIndex {
         self.indeg[t] as usize
     }
 
-    /// The cached topological order.
+    /// The cached topological order: Kahn's algorithm popping the
+    /// lowest ready task index first. It is also the order in which
+    /// [`evaluate_assignment`] dispatches tasks, whatever the assignment.
     #[inline]
     pub fn topo_order(&self) -> &[usize] {
         &self.topo
+    }
+
+    /// Position of task `t` in [`TaskGraphIndex::topo_order`].
+    #[inline]
+    pub(crate) fn position(&self, t: usize) -> usize {
+        self.pos[t] as usize
     }
 }
 
@@ -447,11 +464,11 @@ pub fn evaluate_assignment(g: &TaskGraph, ctx: &SchedCtx<'_>, assignment: &[Core
 /// A thin wrapper over the crate's evaluation kernel, which the annealer
 /// and the exact solver call directly: they build the per-core
 /// communication-cost table once per `schedule()` call and reuse one
-/// set of start/finish/availability/indegree buffers and one ready heap
-/// across every proposal, so evaluating an assignment allocates
-/// nothing. The ready set is a min-heap of task indices; popping its
-/// minimum visits tasks in exactly the order of the former
-/// sort-then-take-first ready list, so schedules are unchanged.
+/// set of finish/availability buffers across every proposal, so
+/// evaluating an assignment allocates nothing. Lowest-ready-index-first
+/// dispatch does not depend on the assignment, so the kernel walks the
+/// index's cached [`TaskGraphIndex::topo_order`] instead of a ready
+/// heap.
 pub fn evaluate_assignment_indexed(
     g: &TaskGraph,
     idx: &TaskGraphIndex,
@@ -460,7 +477,7 @@ pub fn evaluate_assignment_indexed(
 ) -> Schedule {
     let mut scratch = EvalScratch::default();
     eval_into(g, idx, &CommTable::new(ctx), assignment, &mut scratch);
-    scratch.into_schedule(assignment)
+    scratch.to_schedule(g, assignment)
 }
 
 /// How [`CommTable::cost`] prices one cross-core edge.
@@ -542,30 +559,42 @@ impl<'p> CommTable<'p> {
 
 /// Reusable buffers of [`eval_into`]: one allocation per `schedule()`
 /// call instead of one per evaluated assignment.
-#[derive(Debug, Default)]
+///
+/// Besides the finish time of every task, the buffers keep the state
+/// before each position `q` of the dispatch order, so a dispatch can
+/// resume from any position (see [`eval_from`]).
+#[derive(Debug, Default, Clone)]
 pub(crate) struct EvalScratch {
-    start: Vec<u64>,
+    /// Task → finish cycle.
     finish: Vec<u64>,
-    core_avail: Vec<u64>,
-    indeg: Vec<u32>,
-    ready: BinaryHeap<Reverse<usize>>,
+    /// `n + 1` rows of `cores` entries: row `q` is the per-core
+    /// availability before the task at position `q` is dispatched.
+    avail: Vec<u64>,
+    /// Entry `q`: the makespan of the tasks at positions `0..q`.
+    makespan: Vec<u64>,
 }
 
 impl EvalScratch {
-    /// The schedule of the last [`eval_into`] call, which evaluated
+    /// The schedule of the last evaluation, which dispatched
     /// `assignment`.
-    pub(crate) fn into_schedule(self, assignment: &[CoreId]) -> Schedule {
+    pub(crate) fn to_schedule(&self, g: &TaskGraph, assignment: &[CoreId]) -> Schedule {
         Schedule {
             assignment: assignment.to_vec(),
-            start: self.start,
-            finish: self.finish,
+            start: self
+                .finish
+                .iter()
+                .zip(&g.cost)
+                .map(|(f, c)| f - c)
+                .collect(),
+            finish: self.finish.clone(),
         }
     }
 }
 
 /// The evaluation kernel: dispatches the tasks of `g` under the fixed
-/// `assignment` in ready order (lowest ready index first), as early as
-/// possible, leaving start/finish times in `s`. Returns the makespan.
+/// `assignment` in the index's topological order, as early as possible,
+/// leaving finish times and per-position state in `s`. Returns the
+/// makespan.
 pub(crate) fn eval_into(
     g: &TaskGraph,
     idx: &TaskGraphIndex,
@@ -574,21 +603,36 @@ pub(crate) fn eval_into(
     s: &mut EvalScratch,
 ) -> u64 {
     let n = g.len();
-    s.start.clear();
-    s.start.resize(n, 0);
     s.finish.clear();
     s.finish.resize(n, 0);
-    s.core_avail.clear();
-    s.core_avail.resize(comm.cores(), 0);
-    s.indeg.clear();
-    s.indeg.extend_from_slice(&idx.indeg);
-    s.ready.clear();
-    s.ready
-        .extend((0..n).filter(|&t| idx.indeg[t] == 0).map(Reverse));
-    let mut makespan = 0;
-    while let Some(Reverse(t)) = s.ready.pop() {
+    s.avail.clear();
+    s.avail.resize((n + 1) * comm.cores(), 0);
+    s.makespan.clear();
+    s.makespan.resize(n + 1, 0);
+    eval_from(g, idx, comm, assignment, s, 0)
+}
+
+/// [`eval_into`] resumed at position `from` of the dispatch order: the
+/// tasks at positions `from..` are dispatched again, the earlier ones
+/// are read from `s`. Tasks before `from` never see a change at or after
+/// it (their predecessors and core predecessors all come earlier), so
+/// when `assignment` changed only at positions `>= from` since `s` was
+/// filled, the result equals a full [`eval_into`].
+fn eval_from(
+    g: &TaskGraph,
+    idx: &TaskGraphIndex,
+    comm: &CommTable<'_>,
+    assignment: &[CoreId],
+    s: &mut EvalScratch,
+    from: usize,
+) -> u64 {
+    let k = comm.cores();
+    let mut makespan = s.makespan[from];
+    for (q, &t) in idx.topo.iter().enumerate().skip(from) {
         let core = assignment[t];
-        let mut est = s.core_avail[core.0];
+        let (before, after) = s.avail.split_at_mut((q + 1) * k);
+        let row = &before[q * k..];
+        let mut est = row[core.0];
         for &(p, bytes) in idx.preds(t) {
             let c = if assignment[p] == core {
                 0
@@ -598,18 +642,87 @@ pub(crate) fn eval_into(
             est = est.max(s.finish[p] + c);
         }
         let fin = est + g.cost[t];
-        s.start[t] = est;
         s.finish[t] = fin;
-        s.core_avail[core.0] = fin;
+        let next = &mut after[..k];
+        next.copy_from_slice(row);
+        next[core.0] = fin;
         makespan = makespan.max(fin);
-        for &(succ, _) in idx.succs(t) {
-            s.indeg[succ] -= 1;
-            if s.indeg[succ] == 0 {
-                s.ready.push(Reverse(succ));
-            }
-        }
+        s.makespan[q + 1] = makespan;
     }
     makespan
+}
+
+/// Incremental evaluation of a sequence of proposals, each changing the
+/// committed assignment at positions `>= from` of the dispatch order.
+///
+/// A proposal is dispatched into a candidate buffer set; accepting it
+/// swaps the candidate and the committed set, rejecting it keeps the
+/// committed set. The two sets agree on the positions before the last
+/// proposal's `from`, so only that gap is copied before the next
+/// proposal resumes further down.
+#[derive(Debug)]
+pub(crate) struct IncrementalEval {
+    committed: EvalScratch,
+    candidate: EvalScratch,
+    /// `committed` and `candidate` agree on positions `0..agree`.
+    agree: usize,
+}
+
+impl IncrementalEval {
+    /// Dispatches `assignment` in full and commits it. Returns the
+    /// makespan.
+    pub(crate) fn new(
+        g: &TaskGraph,
+        idx: &TaskGraphIndex,
+        comm: &CommTable<'_>,
+        assignment: &[CoreId],
+    ) -> (IncrementalEval, u64) {
+        let mut committed = EvalScratch::default();
+        let makespan = eval_into(g, idx, comm, assignment, &mut committed);
+        let inc = IncrementalEval {
+            candidate: committed.clone(),
+            committed,
+            agree: g.len(),
+        };
+        (inc, makespan)
+    }
+
+    /// Dispatches the proposal `assignment`, which differs from the
+    /// committed one only at positions `>= from`, into the candidate
+    /// set. Returns its makespan.
+    pub(crate) fn propose(
+        &mut self,
+        g: &TaskGraph,
+        idx: &TaskGraphIndex,
+        comm: &CommTable<'_>,
+        assignment: &[CoreId],
+        from: usize,
+    ) -> u64 {
+        if from > self.agree {
+            let (c, d) = (&self.committed, &mut self.candidate);
+            for &t in &idx.topo[self.agree..from] {
+                d.finish[t] = c.finish[t];
+            }
+            let k = comm.cores();
+            let rows = (self.agree + 1) * k..(from + 1) * k;
+            d.avail[rows.clone()].copy_from_slice(&c.avail[rows]);
+            let prefix = self.agree + 1..from + 1;
+            d.makespan[prefix.clone()].copy_from_slice(&c.makespan[prefix]);
+        }
+        self.agree = from;
+        eval_from(g, idx, comm, assignment, &mut self.candidate, from)
+    }
+
+    /// Makes the last proposal the committed state.
+    pub(crate) fn accept(&mut self) {
+        std::mem::swap(&mut self.committed, &mut self.candidate);
+    }
+
+    /// The committed state.
+    #[cfg(test)]
+    pub(crate) fn committed(&self) -> &EvalScratch {
+        &self.committed
+    }
 }
 
 /// The common scheduler interface.
@@ -811,6 +924,88 @@ mod tests {
                     }
                 }
             }
+        }
+
+        /// Random move/swap sequences with random accept/reject through
+        /// the incremental evaluator: every proposal's makespan, and the
+        /// committed start/finish times after each decision, equal a
+        /// from-scratch evaluation.
+        #[test]
+        fn incremental_eval_equals_full_evaluation(
+            seed in 0u64..1_000_000,
+            tasks in 1usize..40,
+            layers in 1usize..8,
+        ) {
+            use rand::rngs::StdRng;
+            use rand::{Rng, SeedableRng};
+            let params = random::RandomGraphParams {
+                tasks,
+                layers,
+                ..Default::default()
+            };
+            let g = random::random_task_graph(seed, &params);
+            let idx = g.index();
+            let n = g.len();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut full = EvalScratch::default();
+            for p in comm_platforms() {
+                let k = p.core_count();
+                for comm in [
+                    CommModel::Free,
+                    CommModel::PlatformWorstCase,
+                    CommModel::SignalOnly,
+                ] {
+                    let ctx = SchedCtx { platform: &p, comm };
+                    let table = CommTable::new(&ctx);
+                    let mut current: Vec<CoreId> =
+                        (0..n).map(|_| CoreId(rng.gen_range(0..k))).collect();
+                    let (mut inc, ms) = IncrementalEval::new(&g, &idx, &table, &current);
+                    prop_assert_eq!(ms, eval_into(&g, &idx, &table, &current, &mut full));
+                    for step in 0..24 {
+                        let before = current.clone();
+                        let from = if rng.gen_bool(0.3) {
+                            let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                            current.swap(a, b);
+                            idx.position(a).min(idx.position(b))
+                        } else {
+                            let t = rng.gen_range(0..n);
+                            current[t] = CoreId(rng.gen_range(0..k));
+                            idx.position(t)
+                        };
+                        let ms = inc.propose(&g, &idx, &table, &current, from);
+                        let want = eval_into(&g, &idx, &table, &current, &mut full);
+                        prop_assert_eq!(ms, want, "{} {:?} step {}", p.name, comm, step);
+                        if rng.gen_bool(0.5) {
+                            inc.accept();
+                        } else {
+                            current = before;
+                        }
+                        eval_into(&g, &idx, &table, &current, &mut full);
+                        prop_assert_eq!(
+                            inc.committed().to_schedule(&g, &current),
+                            full.to_schedule(&g, &current),
+                            "{} {:?} step {}", p.name, comm, step
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The cached order is lowest-ready-index-first Kahn, the dispatch
+    /// order of the evaluation kernel.
+    #[test]
+    fn topo_order_pops_lowest_ready_index_first() {
+        let g = TaskGraph {
+            cost: vec![1; 5],
+            edges: vec![(4, 0, 0), (3, 1, 0), (2, 1, 0)],
+            names: (0..5).map(|i| format!("t{i}")).collect(),
+            htg_ids: vec![],
+        };
+        let idx = g.index();
+        assert_eq!(idx.topo_order(), &[2, 3, 1, 4, 0]);
+        for (q, &t) in idx.topo_order().iter().enumerate() {
+            assert_eq!(idx.position(t), q);
         }
     }
 

@@ -49,12 +49,18 @@
 //! | `argo_dse_point_wall_us` | argo-dse | Wall time per evaluated design point (histogram, µs). |
 //! | `argo_dse_worker_busy_us_total` / `argo_dse_worker_wall_us_total` | argo-dse | Executor busy time vs. elapsed wall time × workers; their ratio is worker utilization. |
 //! | `argo_sched_anneal_proposals_total` / `argo_sched_anneal_accepts_total` | argo-sched | Simulated-annealing moves proposed / accepted (gated on [`metrics_on`]). |
+//! | `argo_sched_anneal_dispatched_total` | argo-sched | Tasks the simulated-annealing proposal evaluations dispatched; an evaluation re-dispatches only the suffix of the dispatch order a move changes (gated). |
 //! | `argo_sched_bnb_expanded_total` / `argo_sched_bnb_pruned_total` | argo-sched | Branch-and-bound nodes expanded / subtrees cut by the lower bound (gated). |
 //! | `argo_wcet_fixpoint_iters` | argo-wcet | Widening-fixpoint rounds per analyzed loop body (histogram, gated). |
 //!
 //! Span names: `stage.frontend` / `stage.seed-costs` / `stage.backend`
 //! / `stage.verify` (one per pipeline stage execution, from the
-//! session driver), `backend.round` (one per § II-E feedback round),
+//! session driver), `frontend.fold` / `frontend.chunk` /
+//! `frontend.resolve` / `frontend.value` / `frontend.extract` /
+//! `frontend.annotate` (the frontend's phases, inside
+//! `stage.frontend`), `backend.round` (one per § II-E feedback round)
+//! with `backend.cost` / `backend.schedule` / `backend.placement`
+//! inside it,
 //! `dse.point` (one per design-point evaluation), `serve.request`
 //! (one per daemon request actually executed).
 //!

@@ -5,6 +5,7 @@
 use argo_core::SchedulerKind;
 use argo_dse::pareto::{dominates, pareto_front};
 use argo_dse::{DesignSpace, Explorer, PlatformKind};
+use argo_htg::Granularity;
 use argo_ir::parse::parse_program;
 use argo_store::Store;
 use proptest::prelude::*;
@@ -288,4 +289,34 @@ fn egpws_acceptance_shape_sweep() {
     }
     let json = report.to_json();
     assert!(json.contains("\"cache\""));
+}
+
+/// End-to-end pin of the heuristic schedulers on real feedback-loop
+/// graphs: a single-thread sweep of egpws, weaa, polka × bus, noc ×
+/// 1, 2, 4, 8 cores × list, anneal × loop, block, stmt granularity
+/// reproduces `tests/golden/dse_anneal.csv` byte for byte. The golden
+/// is the output of `argo-dse explore --app egpws,weaa,polka
+/// --platforms bus,noc --cores 1,2,4,8 --schedulers list,anneal
+/// --granularities loop,block,stmt --threads 1 --csv <file>`; a change
+/// to a scheduler, a cost model or the feedback loop that moves any
+/// schedule shows up here.
+#[test]
+fn heuristic_lattice_csv_matches_golden() {
+    let space = DesignSpace::new()
+        .apps(["egpws", "weaa", "polka"].map(String::from))
+        .platforms(vec![PlatformKind::Bus, PlatformKind::Noc])
+        .cores(vec![1, 2, 4, 8])
+        .schedulers(vec![SchedulerKind::List, SchedulerKind::Anneal])
+        .granularities(vec![
+            Granularity::Loop,
+            Granularity::Block,
+            Granularity::Stmt,
+        ]);
+    let csv = Explorer::with_threads(1).explore(&space).to_csv();
+    let golden = include_str!("golden/dse_anneal.csv");
+    assert_eq!(csv.lines().count(), 145, "header plus 144 points");
+    for (i, (got, want)) in csv.lines().zip(golden.lines()).enumerate() {
+        assert_eq!(got, want, "line {} of tests/golden/dse_anneal.csv", i + 1);
+    }
+    assert_eq!(csv, golden);
 }

@@ -165,4 +165,23 @@ fn chrome_export_of_e1_run_is_valid_and_complete() {
             "missing {stage} span in {names:?}"
         );
     }
+    // The frontend's phases nest directly inside `stage.frontend`.
+    let by_id: HashMap<u64, &str> = records.iter().map(|r| (r.id, r.name.as_ref())).collect();
+    for phase in [
+        "frontend.fold",
+        "frontend.resolve",
+        "frontend.value",
+        "frontend.extract",
+        "frontend.annotate",
+    ] {
+        assert!(
+            names.iter().any(|n| n == phase),
+            "missing {phase} span in {names:?}"
+        );
+    }
+    for r in records.iter().filter(|r| r.name.starts_with("frontend.")) {
+        if let Some(parent) = by_id.get(&r.parent) {
+            assert_eq!(*parent, "stage.frontend", "parent of {}", r.name);
+        }
+    }
 }
